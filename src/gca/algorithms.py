@@ -17,19 +17,16 @@ from math import cos, pi, sin
 from typing import Any, Callable, Sequence
 
 from . import oracles
-from .core import (
+from .core import (  # also re-exports step_sync and step_async
     CellState,
     Configuration,
     FixedPoint,
-    Predicate,
     PreconditionError,
     RuleSet,
     RunResult,
     Steps,
     StopRule,
     Topology,
-    Trace,
-    default_step_limit,
     make_configuration,
     run,
     step_async,
@@ -86,61 +83,20 @@ def execute(
     record_edges: bool = False,
     step_limit: int | None = None,
 ) -> RunResult:
-    """Run a catalog algorithm, honoring its scheduled events."""
-    stop = spec.stop if stop is None else stop
-    cfg = spec.initial()
-    if not spec.events:
-        return run(
-            cfg,
-            spec.ruleset,
-            stop,
-            mode=mode,
-            order=order,
-            seed=seed,
-            record_states=record_states,
-            record_edges=record_edges,
-            step_limit=step_limit,
-        )
-
-    events = dict(spec.events)
-    trace = Trace() if (record_states or record_edges) else None
-
-    def apply_events(c: Configuration) -> None:
-        fn = events.pop(c.time, None)
-        if fn is not None:
-            fn(c)
-
-    apply_events(cfg)
-    if trace is not None and record_states:
-        trace.snapshots.append(cfg.copy())
-
-    open_ended = not isinstance(stop, Steps)
-    limit = step_limit if step_limit is not None else default_step_limit(cfg.n)
-    steps = 0
-    while True:
-        if isinstance(stop, Steps) and steps >= stop.count:
-            return RunResult(cfg, steps, "steps", trace)
-        if isinstance(stop, Predicate) and stop.fn(cfg):
-            return RunResult(cfg, steps, "predicate", trace)
-        if open_ended and steps >= limit:
-            from .core import StepLimitError
-
-            raise StepLimitError(limit, cfg.time)
-        edge_sink = [] if record_edges else None
-        if mode == "sync":
-            nxt = step_sync(cfg, spec.ruleset, edge_sink=edge_sink)
-        else:
-            nxt = step_async(cfg, spec.ruleset, order=order, seed=seed)
-        steps += 1
-        apply_events(nxt)
-        if trace is not None:
-            if record_edges:
-                trace.edges.append(edge_sink)
-            if record_states:
-                trace.snapshots.append(nxt.copy())
-        if isinstance(stop, FixedPoint) and nxt.states == cfg.states:
-            return RunResult(nxt, steps, "fixed-point", trace)
-        cfg = nxt
+    """Run a catalog algorithm from a fresh initial configuration, honoring
+    its scheduled events."""
+    return run(
+        spec.initial(),
+        spec.ruleset,
+        spec.stop if stop is None else stop,
+        mode=mode,
+        order=order,
+        seed=seed,
+        record_states=record_states,
+        record_edges=record_edges,
+        step_limit=step_limit,
+        events=spec.events,
+    )
 
 
 def _need_trace(result: RunResult) -> list[Configuration]:

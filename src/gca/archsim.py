@@ -33,6 +33,7 @@ from .core import (
     Configuration,
     GcaError,
     PreconditionError,
+    apply_events,
     step_sync,
 )
 
@@ -299,24 +300,13 @@ def run_on_arch(
         raise PreconditionError(
             f"architecture sized for n={arch.n}, algorithm uses n={cfg.n}"
         )
-    if G == 0:
-        return cfg.copy(), 0
     events = dict(spec.events)
-
-    def apply_events(c: Configuration) -> None:
-        fn = events.pop(c.time, None)
-        if fn is not None:
-            fn(c)
-
-    apply_events(cfg)
-    order = [
-        z * arch.p + j
-        for z in range(-(-cfg.n // arch.p))
-        for j in range(arch.p)
-        if z * arch.p + j < cfg.n
-    ]
+    apply_events(cfg, events)
+    if G == 0:
+        return cfg, 0
+    order = range(cfg.n)  # slot z, lane j evaluates cell z*p + j
     for _ in range(G):
         cfg = step_sync(cfg, spec.ruleset, phase1_order=order)
-        apply_events(cfg)
+        apply_events(cfg, events)
     sched = _simulate(arch, G)
     return cfg, sched.total_cycles

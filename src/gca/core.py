@@ -18,7 +18,17 @@ obtained:
 
 Addresses are either relative (offset from the reading cell, wrapped) or
 absolute.  All wrapping uses mathematical modulus, so results always lie in
-``[0, n)`` regardless of sign.
+``[0, n)`` regardless of sign.  :func:`resolve` defines the target of one
+address.
+
+Every step runs one phase-1 loop (``_phase1``) for all variants, synchronous
+steps, asynchronous sweeps and :func:`gather_neighbors` alike.  At the start
+of a step it picks an *access plan* from the topology's dimensions, the
+addressing and the arm count: a ``gather(i, eff)`` that returns the states at
+cell i's effective addresses, and records the access edges when asked to.
+The common relative shapes (2-D with four arms, 1-D with two) are unrolled,
+the 1-D one-arm case is inlined in the loop, and every other shape resolves
+its arm vector with the loop form of :func:`resolve`.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ __all__ = [
     "Steps",
     "Topology",
     "Trace",
+    "apply_events",
     "default_step_limit",
     "gather_neighbors",
     "make_configuration",
@@ -320,26 +331,163 @@ class RuleSet:
             raise PreconditionError(f"{self.variant} variant needs a pointer_rule")
 
 
-def _effective_addresses(
-    ruleset: RuleSet, ctx: RuleContext, q: CellState, i: int
-) -> tuple:
-    """Raw effective addresses of cell i for the coming step."""
-    if ruleset.variant == "basic":
-        eff = q.pointers
-    elif ruleset.variant == "general":
-        ctx.i = i
-        ctx.cell = q
-        ctx.neighbors = ()
-        eff = ruleset.address_modifier(ctx)
+# ---------------------------------------------------------------------------
+# access plan and phase 1
+
+def _targets(topology: Topology, addressing: str) -> Callable[[int, Sequence], list]:
+    """``targets(i, eff)``: the cells reached from cell i through the effective
+    addresses ``eff``, in arm order - :func:`resolve` for a whole arm vector."""
+    n = topology.n
+    if topology.is_2d:
+        w, h = topology.dims
+        if addressing == "relative":
+            def targets(i, eff):
+                x = i % w
+                y = i // w
+                return [((y + dy) % h) * w + (x + dx) % w for dx, dy in eff]
+        else:
+            def targets(i, eff):
+                return [(ay % h) * w + ax % w for ax, ay in eff]
+    elif addressing == "relative":
+        def targets(i, eff):
+            return [(i + a) % n for a in eff]
     else:
-        eff = ruleset.pointer_function(i, q)
-    if len(eff) != ruleset.arms:
-        raise RuleEvaluationError(
-            i,
-            ctx.t,
-            ValueError(f"{len(eff)} effective addresses for {ruleset.arms} arm(s)"),
-        )
-    return eff
+        def targets(i, eff):
+            return [a % n for a in eff]
+    return targets
+
+
+def _access_plan(
+    topology: Topology, addressing: str, arms: int, states: list, edge_sink: list | None
+) -> Callable[[int, Sequence], tuple] | None:
+    """``gather(i, eff)``: the states of ``states`` at cell i's effective
+    addresses ``eff``, in arm order; with an ``edge_sink`` it also appends the
+    ``(i, target)`` access edges.  It raises ValueError unless ``eff`` holds
+    one address per arm.
+
+    The common relative shapes are unrolled; their unpacking is the arity
+    check.  None stands for the 1-D relative one-arm case without edges,
+    which the phase-1 loop inlines.
+    """
+    relative = addressing == "relative"
+    n = topology.n
+    if relative and topology.is_2d and arms == 4:
+        w, h = topology.dims
+
+        def gather(i, eff):
+            x = i % w
+            y = i // w
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = eff
+            a = ((y + ay) % h) * w + (x + ax) % w
+            b = ((y + by) % h) * w + (x + bx) % w
+            c = ((y + cy) % h) * w + (x + cx) % w
+            d = ((y + dy) % h) * w + (x + dx) % w
+            if edge_sink is not None:
+                edge_sink.extend(((i, a), (i, b), (i, c), (i, d)))
+            return (states[a], states[b], states[c], states[d])
+
+        return gather
+    if relative and not topology.is_2d and arms == 2:
+        def gather(i, eff):
+            a, b = eff
+            a = (i + a) % n
+            b = (i + b) % n
+            if edge_sink is not None:
+                edge_sink.extend(((i, a), (i, b)))
+            return (states[a], states[b])
+
+        return gather
+    if relative and not topology.is_2d and arms == 1 and edge_sink is None:
+        return None
+    targets = _targets(topology, addressing)
+
+    def gather(i, eff):
+        if len(eff) != arms:
+            raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
+        found = targets(i, eff)
+        if edge_sink is not None:
+            edge_sink.extend([(i, j) for j in found])
+        return tuple([states[j] for j in found])
+
+    return gather
+
+
+def _no_pointers(ctx: RuleContext) -> tuple:
+    """Pointer rule of the plain variant, whose cells store no pointers."""
+    return ()
+
+
+def _with_stencil(
+    data_rule: Callable[[RuleContext], Any], topology: Topology, states: list, stencil: tuple
+) -> Callable[[RuleContext], Any]:
+    """``data_rule`` preceded by setting ``ctx.w`` to the stencil's states;
+    both rules read ``ctx.w``, and the data rule runs first."""
+    targets = _targets(topology, "relative")
+
+    def rule(ctx):
+        ctx.w = tuple([states[j] for j in targets(ctx.i, stencil)])
+        return data_rule(ctx)
+
+    return rule
+
+
+def _phase1(
+    ruleset: RuleSet,
+    topology: Topology,
+    t: int,
+    states: list,
+    out,
+    order: Iterable[int],
+    edge_sink: list | None = None,
+) -> None:
+    """Evaluate the rules of the cells in ``order`` at generation t, reading
+    ``states`` and storing cell i's new state in ``out[i]``.
+
+    A synchronous step writes to a fresh list; an asynchronous sweep passes
+    one list as both, so each cell reads the cells updated before it.  Any
+    rule failure surfaces as :class:`RuleEvaluationError` naming the cell
+    and t; the cells evaluated so far are in ``out`` only.
+    """
+    n = topology.n
+    basic = ruleset.variant == "basic"
+    plain = ruleset.variant == "plain"
+    f = ruleset.data_rule
+    g = _no_pointers if plain else ruleset.pointer_rule
+    modifier = ruleset.address_modifier
+    pf = ruleset.pointer_function
+    arms = ruleset.arms
+    gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
+    stencil = ruleset.stencil
+    if stencil:
+        f = _with_stencil(f, topology, states, stencil)
+    ctx = RuleContext()
+    ctx.t = t
+    ctx.params = ruleset.params
+    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
+    cs = CellState
+    i = -1
+    try:
+        for i in order:
+            q = states[i]
+            ctx.i = i
+            ctx.cell = q
+            if basic:
+                eff = q[1]  # .pointers without the descriptor hop
+            elif plain:
+                eff = pf(i, q)
+            else:
+                ctx.neighbors = ()
+                eff = modifier(ctx)
+            if gather is None:
+                (a,) = eff  # unpacking checks the arity
+                ctx.neighbors = (states[(i + a) % n],)
+            else:
+                ctx.neighbors = gather(i, eff)
+            out[i] = tnew(cs, (f(ctx), g(ctx)))
+    except GcaError:
+        raise
+    except Exception as exc:
+        raise RuleEvaluationError(i, t, exc) from exc
 
 
 def gather_neighbors(
@@ -347,28 +495,23 @@ def gather_neighbors(
 ) -> tuple[tuple, list[int]]:
     """Arm states and resolved target indices of cell i at the current time.
 
-    Returns ``(states, targets)`` where both follow arm order.
+    Returns ``(states, targets)`` where both follow arm order: phase 1 of the
+    one cell, with rules that only look.
     """
-    ctx = RuleContext()
-    ctx.t = cfg.time
-    ctx.params = ruleset.params
-    q = cfg.states[i]
-    eff = _effective_addresses(ruleset, ctx, q, i)
-    topo = cfg.topology
-    kind = ruleset.addressing
-    targets = [resolve(topo, i, Address(kind, a)) for a in eff]
-    return tuple(cfg.states[j] for j in targets), targets
+    seen: list = []
+    edges: list = []
+    probe = replace(
+        ruleset,
+        data_rule=lambda ctx: seen.append(ctx.neighbors),
+        pointer_rule=lambda ctx: (),
+        stencil=(),
+    )
+    _phase1(probe, cfg.topology, cfg.time, cfg.states, {}, (i,), edges)
+    return seen[0], [j for _, j in edges]
 
 
 # ---------------------------------------------------------------------------
 # stepping
-
-def _stencil_states(cfg: Configuration, i: int, stencil: tuple) -> tuple:
-    topo = cfg.topology
-    return tuple(
-        cfg.states[resolve(topo, i, Address("relative", off))] for off in stencil
-    )
-
 
 def step_sync(
     cfg: Configuration,
@@ -384,151 +527,17 @@ def step_sync(
     ``edge_sink`` collects ``(reader, target)`` access edges for this step.
     ``phase1_order`` evaluates phase 1 in the given index permutation (the
     committed result is order independent); ``on_commit`` is a diagnostics
-    hook invoked once per cell at commit time with the owner index.
+    hook invoked once per cell at commit time with the owner index.  A rule
+    failure commits nothing.
     """
-    states = cfg.states
-    topo = cfg.topology
-    n = topo.n
-    t = cfg.time
-    basic = ruleset.variant == "basic"
-    relative = ruleset.addressing == "relative"
-    twod = topo.is_2d
-    f = ruleset.data_rule
-    g = ruleset.pointer_rule
-    arms = ruleset.arms
-    stencil = ruleset.stencil
-    record = edge_sink is not None
-
-    ctx = RuleContext()
-    ctx.t = t
-    ctx.params = ruleset.params
+    n = cfg.n
     new_states: list = [None] * n
     order = range(n) if phase1_order is None else phase1_order
-    i = -1
-    # Tight loops for the overwhelmingly common shapes (basic variant, 1-D
-    # ring, relative addressing, no stencil, no edge recording).  Identical
-    # semantics to the generic loop below, minus the per-cell dispatch;
-    # tuple.__new__ skips the namedtuple constructor wrapper.
-    fast = basic and relative and not twod and not stencil and not record
-    tnew = tuple.__new__
-    cs = CellState
-    try:
-        if fast and arms == 1:
-            if phase1_order is None:
-                cells = enumerate(states)
-            else:
-                cells = ((j, states[j]) for j in order)
-            for i, q in cells:
-                p = q[1]  # .pointers without the descriptor hop
-                if len(p) != 1:
-                    raise RuleEvaluationError(
-                        i, t, ValueError(f"{len(p)} effective addresses for 1 arm(s)")
-                    )
-                ctx.i = i
-                ctx.cell = q
-                ctx.neighbors = (states[(i + p[0]) % n],)
-                new_states[i] = tnew(cs, (f(ctx), g(ctx)))
-        elif fast and arms == 2:
-            if phase1_order is None:
-                cells = enumerate(states)
-            else:
-                cells = ((j, states[j]) for j in order)
-            for i, q in cells:
-                p = q[1]  # .pointers without the descriptor hop
-                if len(p) != 2:
-                    raise RuleEvaluationError(
-                        i, t, ValueError(f"{len(p)} effective addresses for 2 arm(s)")
-                    )
-                ctx.i = i
-                ctx.cell = q
-                ctx.neighbors = (states[(i + p[0]) % n], states[(i + p[1]) % n])
-                new_states[i] = tnew(cs, (f(ctx), g(ctx)))
-        else:
-            _step_sync_generic(
-                cfg, ruleset, ctx, new_states, order, edge_sink, record
-            )
-    except GcaError:
-        raise
-    except Exception as exc:  # no partial commit: nothing escapes this frame
-        raise RuleEvaluationError(i, t, exc) from exc
+    _phase1(ruleset, cfg.topology, cfg.time, cfg.states, new_states, order, edge_sink)
     if on_commit is not None:
         for i in range(n):
             on_commit(i, new_states[i])
-    return Configuration(new_states, topo, t + 1)
-
-
-def _step_sync_generic(
-    cfg: Configuration,
-    ruleset: RuleSet,
-    ctx: "RuleContext",
-    new_states: list,
-    order,
-    edge_sink: list | None,
-    record: bool,
-) -> None:
-    """Phase 1 for every variant/topology combination the fast paths skip."""
-    states = cfg.states
-    topo = cfg.topology
-    n = topo.n
-    t = cfg.time
-    variant = ruleset.variant
-    basic = variant == "basic"
-    general = variant == "general"
-    plain = variant == "plain"
-    relative = ruleset.addressing == "relative"
-    twod = topo.is_2d
-    f = ruleset.data_rule
-    g = ruleset.pointer_rule
-    modifier = ruleset.address_modifier
-    pf = ruleset.pointer_function
-    arms = ruleset.arms
-    stencil = ruleset.stencil
-    w = topo.dims[0]
-    h = topo.height
-    i = -1
-    try:
-        for i in order:
-            q = states[i]
-            if basic:
-                eff = q.pointers
-            elif general:
-                ctx.i = i
-                ctx.cell = q
-                ctx.neighbors = ()
-                eff = modifier(ctx)
-            else:
-                eff = pf(i, q)
-            if len(eff) != arms:
-                raise RuleEvaluationError(
-                    i, t, ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
-                )
-            if twod:
-                x = i % w
-                y = i // w
-                if relative:
-                    targets = [((y + dy) % h) * w + (x + dx) % w for dx, dy in eff]
-                else:
-                    targets = [(ay % h) * w + ax % w for ax, ay in eff]
-            elif relative:
-                targets = [(i + p) % n for p in eff]
-            else:
-                targets = [p % n for p in eff]
-            ctx.i = i
-            ctx.cell = q
-            ctx.neighbors = tuple(states[j] for j in targets)
-            if stencil:
-                ctx.w = _stencil_states(cfg, i, stencil)
-            if record:
-                for j in targets:
-                    edge_sink.append((i, j))
-            if plain:
-                new_states[i] = CellState(f(ctx), ())
-            else:
-                new_states[i] = CellState(f(ctx), g(ctx))
-    except GcaError:
-        raise
-    except Exception as exc:  # no partial commit: nothing escapes this frame
-        raise RuleEvaluationError(i, t, exc) from exc
+    return Configuration(new_states, cfg.topology, cfg.time + 1)
 
 
 def step_async(
@@ -536,10 +545,14 @@ def step_async(
     ruleset: RuleSet,
     *,
     order: str = "ascending",
-    seed: int | None = None,
+    seed: int | _random.Random | None = None,
 ) -> Configuration:
     """One asynchronous sweep: cells update one at a time, each reading the
     partially updated array, in ascending, descending or seeded-random order.
+
+    For the random order, ``seed`` is either a seed (the sweep's order is
+    then a function of it alone) or a ``random.Random`` to draw the order
+    from, so that successive sweeps continue one stream.
     """
     n = cfg.n
     if order == "ascending":
@@ -549,38 +562,13 @@ def step_async(
     elif order == "random":
         if seed is None:
             raise PreconditionError("async random order requires an explicit seed")
+        rng = seed if isinstance(seed, _random.Random) else _random.Random(seed)
         sequence = list(range(n))
-        _random.Random(seed).shuffle(sequence)
+        rng.shuffle(sequence)
     else:
         raise PreconditionError(f"unknown async order {order!r}")
-
     work = cfg.copy()
-    ctx = RuleContext()
-    ctx.t = cfg.time
-    ctx.params = ruleset.params
-    topo = cfg.topology
-    kind = ruleset.addressing
-    plain = ruleset.variant == "plain"
-    try:
-        for i in sequence:
-            q = work.states[i]
-            eff = _effective_addresses(ruleset, ctx, q, i)
-            targets = [resolve(topo, i, Address(kind, a)) for a in eff]
-            ctx.i = i
-            ctx.cell = q
-            ctx.neighbors = tuple(work.states[j] for j in targets)
-            if ruleset.stencil:
-                ctx.w = _stencil_states(work, i, ruleset.stencil)
-            if plain:
-                work.states[i] = CellState(ruleset.data_rule(ctx), ())
-            else:
-                work.states[i] = CellState(
-                    ruleset.data_rule(ctx), ruleset.pointer_rule(ctx)
-                )
-    except GcaError:
-        raise
-    except Exception as exc:
-        raise RuleEvaluationError(i, cfg.time, exc) from exc
+    _phase1(ruleset, cfg.topology, cfg.time, work.states, work.states, sequence)
     work.time = cfg.time + 1
     return work
 
@@ -636,6 +624,14 @@ class RunResult:
     trace: Trace | None = None
 
 
+def apply_events(cfg: Configuration, events: dict) -> None:
+    """Apply the event scheduled for generation ``cfg.time``, if any, in place;
+    ``events`` maps a generation to a mutator of the configuration."""
+    fn = events.get(cfg.time)
+    if fn is not None:
+        fn(cfg)
+
+
 def run(
     cfg: Configuration,
     ruleset: RuleSet,
@@ -647,9 +643,14 @@ def run(
     record_states: bool = False,
     record_edges: bool = False,
     step_limit: int | None = None,
+    events: Iterable[tuple[int, Callable[[Configuration], None]]] = (),
 ) -> RunResult:
     """Drive an automaton until its stop rule fires.
 
+    ``events`` lists ``(time, mutator)`` pairs: external interventions applied
+    by :func:`apply_events` to generation 0 and to each committed generation,
+    before it is recorded or tested by the stop rule.  For the random async
+    order, ``seed`` seeds one stream that every sweep draws its order from.
     Open-ended stop rules (fixed point, predicate) are guarded by
     ``step_limit`` (default ``10*n + 64``); exceeding it raises
     :class:`StepLimitError`.  The input configuration is not modified.
@@ -661,19 +662,19 @@ def run(
     if record_edges and mode == "async":
         raise PreconditionError("access-edge recording is defined for sync mode only")
 
+    schedule = dict(events)
+    current = cfg
+    if schedule:
+        current = cfg.copy()
+        apply_events(current, schedule)
+    if order == "random" and seed is not None:
+        seed = _random.Random(seed)
     trace = Trace() if (record_states or record_edges) else None
     if trace is not None and record_states:
-        trace.snapshots.append(cfg.copy())
+        trace.snapshots.append(current.copy())
 
-    limit: int | None
-    if isinstance(stop, Steps):
-        limit = stop.count
-        open_ended = False
-    else:
-        limit = step_limit if step_limit is not None else default_step_limit(cfg.n)
-        open_ended = True
-
-    current = cfg
+    open_ended = not isinstance(stop, Steps)
+    limit = step_limit if step_limit is not None else default_step_limit(cfg.n)
     steps = 0
     while True:
         if isinstance(stop, Steps) and steps >= stop.count:
@@ -688,6 +689,8 @@ def run(
         else:
             nxt = step_async(current, ruleset, order=order, seed=seed)
         steps += 1
+        if schedule:
+            apply_events(nxt, schedule)
         if trace is not None:
             if record_edges:
                 trace.edges.append(edge_sink)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Sequence
 
-from .algorithms import CATALOG, AlgorithmSpec, is_power_of_two
+from .algorithms import CATALOG, AlgorithmSpec, _need_trace, is_power_of_two
 from .core import (
     CellState,
     Configuration,
@@ -46,12 +46,6 @@ def _first_all(snapshots, value, cells=None) -> int | None:
         if all(cfg.states[i].data == value for i in idx):
             return t
     return None
-
-
-def _need_trace(result: RunResult):
-    if result.trace is None or not result.trace.snapshots:
-        raise PreconditionError("verification needs a run with recorded states")
-    return result.trace.snapshots
 
 
 def trace_rows(snapshots) -> list[str]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gca import PreconditionError
+from gca import PreconditionError, Steps
 from gca.algorithms import alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
@@ -21,6 +21,7 @@ from gca.archsim import (
     seq_pipeline_simulate,
 )
 from gca import execute
+from gca.firing import firing_jump_v2
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +238,10 @@ def test_run_on_arch_zero_generations():
     cfg, cycles = run_on_arch(spec, ArchParams(n=4, k=1), generations=0)
     assert cycles == 0
     assert cfg.states == spec.initial().states
+
+
+def test_run_on_arch_zero_generations_applies_events():
+    spec = firing_jump_v2(9, introduce_at=0)
+    cfg, _ = run_on_arch(spec, ArchParams(n=9, k=1), generations=0)
+    assert cfg.states == execute(spec, Steps(0)).config.states
+    assert cfg.data() != spec.initial().data()

@@ -117,6 +117,11 @@ def test_precondition_maps_to_2(outdir, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_negative_steps_is_usage_error(outdir, capsys):
+    assert main(["run", "--alg", "max", "--n", "8", "--steps", "-1"]) == 1
+    assert "--steps" in capsys.readouterr().err
+
+
 def test_async_random_needs_seed(outdir, capsys):
     rc = main(["run", "--alg", "max", "--n", "8", "--mode", "async:random"])
     assert rc == 2

@@ -332,6 +332,37 @@ def test_step_async_random_deterministic():
     assert a.states == b.states
 
 
+def test_step_async_random_continues_a_stream():
+    cfg = make_configuration([0] * 6, (1,), Topology.ring(6))
+    rs = max_ruleset()
+    rng = random.Random(7)
+    a = step_async(cfg, rs, order="random", seed=rng)
+    b = step_async(cfg, rs, order="random", seed=random.Random(7))
+    assert a.states == b.states  # a stream seeded alike gives the seed's sweep
+
+
+def order_recorder(seen):
+    def data(ctx):
+        seen.append(ctx.i)
+        return ctx.cell.data
+
+    return RuleSet(variant="basic", arms=1, data_rule=data, pointer_rule=keep_pointers)
+
+
+def test_run_async_random_sweeps_differ():
+    """One random stream per run: each sweep draws a fresh order, and the
+    same seed repeats the whole run."""
+    n, sweeps = 6, 8
+    cfg = make_configuration([0] * n, (1,), Topology.ring(n))
+    first, again = [], []
+    run(cfg, order_recorder(first), Steps(sweeps), mode="async", order="random", seed=7)
+    run(cfg, order_recorder(again), Steps(sweeps), mode="async", order="random", seed=7)
+    orders = [tuple(first[k * n : (k + 1) * n]) for k in range(sweeps)]
+    assert all(sorted(o) == list(range(n)) for o in orders)
+    assert len(set(orders)) > 1
+    assert first == again
+
+
 def test_step_async_unknown_order():
     cfg = make_configuration([1, 0], (1,), Topology.ring(2))
     with pytest.raises(PreconditionError):
@@ -404,6 +435,22 @@ def test_run_deterministic():
     b = run(cfg, max_ruleset(), Steps(5), record_states=True)
     assert a.config.states == b.config.states
     assert [s.states for s in a.trace.snapshots] == [s.states for s in b.trace.snapshots]
+
+
+def test_run_applies_events():
+    """Events apply to generation 0 and to each committed generation, before
+    it is recorded; the input configuration stays unchanged."""
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+
+    def bump(c):
+        c.states[1] = CellState(c.states[1].data + 10, c.states[1].pointers)
+
+    rs = RuleSet(variant="basic", arms=1, data_rule=incr_rule, pointer_rule=keep_pointers)
+    result = run(cfg, rs, Steps(3), record_states=True, events=((0, bump), (2, bump)))
+    assert [s.data() for s in result.trace.snapshots] == [
+        [0, 10, 0], [1, 11, 1], [2, 22, 2], [3, 23, 3]
+    ]
+    assert cfg.data() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
