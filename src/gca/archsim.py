@@ -20,11 +20,18 @@ written value forwarded when the addresses coincide.
 
 Total cycles for G generations: G*ceil(n/p) + 3 + switch*(G-1) - the
 3-cycle fill latency is paid once, switches between generations.
+
+Events are listed by (cycle, stage, lane); within a cycle the stages sort
+by name (Exe, Fetch, Get, Switch, Write) and are emitted in that order.
+The hazard check claims one port per access: a Fetch the read set's R
+bank, a Get the lane's S1 copy, a Write the write set's R bank.  That
+covers every copy: a Write fans out to the same bank of all k*p S copies,
+so two Writes collide on a copy exactly when they collide on R, and a Get
+reads its lane's k copies together, so any collision there is one on S1.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,30 +121,33 @@ def _simulate(params: ArchParams, generations: int) -> Schedule:
         raise PreconditionError("pipeline simulation needs k >= 1")
     if generations < 0:
         raise PreconditionError("generations cannot be negative")
-    n, k, p, sw = params.n, params.k, params.p, params.switch_cost
+    n, p, sw = params.n, params.p, params.switch_cost
     slots = -(-n // p)
-    events: list[PipelineEvent] = []
-    period = slots + sw
-    for g in range(generations):
-        base = g * period
-        for z in range(slots):
-            for j in range(p):
-                cell = z * p + j
-                if cell >= n:
-                    continue  # idle tail lane; the cycle slot still elapses
-                for s, stage in enumerate(STAGES):
-                    events.append(
-                        PipelineEvent(base + z + 1 + s, stage, j, cell, cell % p)
-                    )
-        if sw and g + 1 < generations:
-            for c in range(sw):
-                events.append(
-                    PipelineEvent(base + slots + 1 + c, "Switch", -1, -1, -1)
-                )
-    events.sort()
     switches = sw * max(0, generations - 1)
     total = generations * slots + 3 + switches if generations else 0
-    conflicts = _check_hazards(events, params, generations)
+    # Slot t of the run (slot z of generation g is t = g*(slots+sw) + z) is
+    # fetched at cycle t+1, read by Get at t+2, executed at t+3 and written
+    # at t+4: cycle c finds them at feed[c+3], [c+2], [c+1] and [c].  A slot
+    # holds its (lane, cell) pairs; None marks a switch cycle.
+    rows = [tuple(enumerate(range(z * p, min(z * p + p, n)))) for z in range(slots)]
+    timeline = (rows + [None] * sw) * generations
+    feed = [()] * 4 + timeline[: len(timeline) - sw] + [()] * 3
+    new, event = tuple.__new__, PipelineEvent
+    events: list[PipelineEvent] = []
+    add = events.append
+    for c in range(1, total + 1):
+        for lane, cell in feed[c + 1] or ():
+            add(new(event, (c, "Exe", lane, cell, lane)))
+        fetched = feed[c + 3]
+        for lane, cell in fetched or ():
+            add(new(event, (c, "Fetch", lane, cell, lane)))
+        for lane, cell in feed[c + 2] or ():
+            add(new(event, (c, "Get", lane, cell, lane)))
+        if fetched is None:
+            add(new(event, (c, "Switch", -1, -1, -1)))
+        for lane, cell in feed[c] or ():
+            add(new(event, (c, "Write", lane, cell, lane)))
+    conflicts = _check_hazards(events, params)
     sched = Schedule(
         params=params,
         generations=generations,
@@ -151,43 +161,36 @@ def _simulate(params: ArchParams, generations: int) -> Schedule:
     return sched
 
 
-def _check_hazards(
-    events: list[PipelineEvent], params: ArchParams, generations: int
-) -> list[str]:
+def _check_hazards(events: list[PipelineEvent], params: ArchParams) -> list[str]:
     """Each memory read port and each write bank may serve one access per
     cycle.  Reads and writes of one memory may share a cycle (separate
     ports); writes forward to same-cycle reads of the same address.
     """
-    k, p = params.k, params.p
     period = -(-params.n // params.p) + params.switch_cost
     reads: dict[tuple, PipelineEvent] = {}
     writes: dict[tuple, PipelineEvent] = {}
     conflicts: list[str] = []
-
-    def claim(table, key, ev, kind):
-        if key in table:
-            conflicts.append(f"cycle {ev.cycle}: double {kind} on {key[2:]} "
-                             f"(cells {table[key].cell} and {ev.cell})")
-        table[key] = ev
-
     for ev in events:
-        if ev.stage == "Switch":
-            continue
-        g = (ev.cycle - 1 - STAGES.index(ev.stage)) // period
-        rd_set = g % 2
-        wr_set = 1 - rd_set
-        if ev.stage == "Fetch":
-            claim(reads, (ev.cycle, rd_set, "R", ev.bank), ev, "read")
-        elif ev.stage == "Get":
-            for i in range(1, k + 1):
-                claim(reads, (ev.cycle, rd_set, f"S{i}", ev.lane), ev, "read")
-        elif ev.stage == "Write":
-            claim(writes, (ev.cycle, wr_set, "R", ev.bank), ev, "write")
-            for i in range(1, k + 1):
-                for lane in range(p):
-                    claim(
-                        writes, (ev.cycle, wr_set, f"S{i}", lane, ev.bank), ev, "write"
-                    )
+        cycle, stage, lane, cell, bank = ev
+        # generation g = (cycle - 1 - stage index) // period reads set g % 2
+        if stage == "Fetch":
+            table, kind = reads, "read"
+            key = (cycle, (cycle - 1) // period % 2, "R", bank)
+        elif stage == "Get":
+            table, kind = reads, "read"
+            key = (cycle, (cycle - 2) // period % 2, "S1", lane)
+        elif stage == "Write":
+            table, kind = writes, "write"
+            key = (cycle, 1 - (cycle - 4) // period % 2, "R", bank)
+        elif stage == "Exe" or stage == "Switch":
+            continue  # Exe touches no memory; Switch interchanges the sets
+        else:
+            raise PreconditionError(f"unknown pipeline stage {stage!r}")
+        other = table.get(key)
+        if other is not None:
+            conflicts.append(f"cycle {cycle}: double {kind} on {key[2:]} "
+                             f"(cells {other.cell} and {cell})")
+        table[key] = ev
     return conflicts
 
 
@@ -264,11 +267,8 @@ def capacity_table(params: ArchParams) -> str:
 
 
 def schedule_csv(schedule: Schedule) -> str:
-    out = io.StringIO()
-    out.write("cycle,stage,lane,cell,bank\n")
-    for ev in schedule.events:
-        out.write(f"{ev.cycle},{ev.stage},{ev.lane},{ev.cell},{ev.bank}\n")
-    return out.getvalue()
+    row = "%d,%s,%d,%d,%d\n"
+    return "cycle,stage,lane,cell,bank\n" + "".join([row % ev for ev in schedule.events])
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,10 @@ class Steps:
 
     count: int
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise PreconditionError(f"step count cannot be negative, got {self.count}")
+
 
 @dataclass(frozen=True)
 class FixedPoint:

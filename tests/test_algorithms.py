@@ -414,3 +414,9 @@ def test_execute_honors_stop_override():
     spec = alg_max(8)
     res = execute(spec, stop=Steps(2))
     assert res.steps == 2
+
+
+def test_execute_rejects_negative_steps():
+    with pytest.raises(PreconditionError, match="negative, got -5"):
+        execute(default_instance("max"), Steps(-5))
+    assert execute(default_instance("max"), Steps(0)).steps == 0

@@ -1,10 +1,14 @@
 """Pipeline schedules, hazard freedom, capacity formulas, workload bridging."""
 
+import io
 import random
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gca import PreconditionError, Steps
+from gca import GcaError, PreconditionError, Steps
 from gca.algorithms import alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
@@ -112,8 +116,8 @@ def test_synthetic_write_conflict_detected():
         PipelineEvent(cycle=4, stage="Write", lane=0, cell=0, bank=0),
         PipelineEvent(cycle=4, stage="Write", lane=0, cell=1, bank=0),
     ]
-    conflicts = _check_hazards(events, params, 1)
-    assert conflicts and "double write" in conflicts[0]
+    conflicts = _check_hazards(events, params)
+    assert conflicts == ["cycle 4: double write on ('R', 0) (cells 0 and 1)"]
 
 
 def test_synthetic_read_conflict_detected():
@@ -122,8 +126,179 @@ def test_synthetic_read_conflict_detected():
         PipelineEvent(cycle=1, stage="Fetch", lane=0, cell=0, bank=0),
         PipelineEvent(cycle=1, stage="Fetch", lane=0, cell=4, bank=0),
     ]
-    conflicts = _check_hazards(events, params, 1)
-    assert conflicts and "double read" in conflicts[0]
+    conflicts = _check_hazards(events, params)
+    assert conflicts == ["cycle 1: double read on ('R', 0) (cells 0 and 4)"]
+    # one event listed twice still claims its port twice
+    assert _check_hazards(events[:1] * 2, params) == [
+        "cycle 1: double read on ('R', 0) (cells 0 and 0)"
+    ]
+
+
+def test_synthetic_get_conflict_detected():
+    # two Gets on one lane's copies in one cycle; banks differ, so only the
+    # lane's S copies can collide
+    params = ArchParams(n=8, k=3, p=4)
+    events = [
+        PipelineEvent(cycle=2, stage="Get", lane=1, cell=1, bank=1),
+        PipelineEvent(cycle=2, stage="Get", lane=1, cell=6, bank=2),
+    ]
+    conflicts = _check_hazards(events, params)
+    assert conflicts == ["cycle 2: double read on ('S1', 1) (cells 1 and 6)"]
+    assert _check_hazards(events[:1] + [events[1]._replace(lane=2)], params) == []
+
+
+def test_unknown_stage_rejected():
+    events = [PipelineEvent(cycle=1, stage="Load", lane=0, cell=0, bank=0)]
+    with pytest.raises(PreconditionError, match="unknown pipeline stage 'Load'"):
+        _check_hazards(events, ArchParams(n=4, k=1))
+
+
+# ---------------------------------------------------------------------------
+# references: the generate-then-sort simulator, the per-copy hazard check and
+# the field-by-field CSV writer that the schedule code must reproduce
+
+def reference_schedule(params, generations):
+    """(sorted events, total cycles, switches) built slot by slot."""
+    n, p, sw = params.n, params.p, params.switch_cost
+    slots = -(-n // p)
+    events = []
+    period = slots + sw
+    for g in range(generations):
+        base = g * period
+        for z in range(slots):
+            for j in range(p):
+                cell = z * p + j
+                if cell >= n:
+                    continue  # idle tail lane; the cycle slot still elapses
+                for s, stage in enumerate(STAGES):
+                    events.append(
+                        PipelineEvent(base + z + 1 + s, stage, j, cell, cell % p)
+                    )
+        if sw and g + 1 < generations:
+            for c in range(sw):
+                events.append(
+                    PipelineEvent(base + slots + 1 + c, "Switch", -1, -1, -1)
+                )
+    events.sort()
+    switches = sw * max(0, generations - 1)
+    total = generations * slots + 3 + switches if generations else 0
+    return events, total, switches
+
+
+def reference_hazards(events, params):
+    """Claims every port an access uses: k S copies per Get, the R bank and
+    the bank in all k*p S copies per Write."""
+    k, p = params.k, params.p
+    period = -(-params.n // params.p) + params.switch_cost
+    reads, writes, conflicts = {}, {}, []
+
+    def claim(table, key, ev, kind):
+        if key in table:
+            conflicts.append(f"cycle {ev.cycle}: double {kind} on {key[2:]} "
+                             f"(cells {table[key].cell} and {ev.cell})")
+        table[key] = ev
+
+    for ev in events:
+        if ev.stage == "Switch":
+            continue
+        g = (ev.cycle - 1 - STAGES.index(ev.stage)) // period
+        rd_set = g % 2
+        wr_set = 1 - rd_set
+        if ev.stage == "Fetch":
+            claim(reads, (ev.cycle, rd_set, "R", ev.bank), ev, "read")
+        elif ev.stage == "Get":
+            for i in range(1, k + 1):
+                claim(reads, (ev.cycle, rd_set, f"S{i}", ev.lane), ev, "read")
+        elif ev.stage == "Write":
+            claim(writes, (ev.cycle, wr_set, "R", ev.bank), ev, "write")
+            for i in range(1, k + 1):
+                for lane in range(p):
+                    claim(
+                        writes, (ev.cycle, wr_set, f"S{i}", lane, ev.bank), ev, "write"
+                    )
+    return conflicts
+
+
+def reference_csv(events):
+    out = io.StringIO()
+    out.write("cycle,stage,lane,cell,bank\n")
+    for ev in events:
+        out.write(f"{ev.cycle},{ev.stage},{ev.lane},{ev.cell},{ev.bank}\n")
+    return out.getvalue()
+
+
+@st.composite
+def arch_points(draw):
+    n = draw(st.integers(1, 40))
+    params = ArchParams(
+        n=n,
+        k=draw(st.integers(1, 4)),
+        p=draw(st.integers(1, n)),
+        switch_cost=draw(st.integers(0, 3)),
+    )
+    return params, draw(st.integers(0, 4))
+
+
+@given(arch_points())
+def test_schedule_matches_reference(point):
+    params, generations = point
+    events, total, switches = reference_schedule(params, generations)
+    conflicts = reference_hazards(events, params)
+    if conflicts:
+        with pytest.raises(GcaError, match=re.escape(conflicts[0])):
+            dpa_simulate(params, generations)
+        return
+    sched = dpa_simulate(params, generations)
+    assert sched.events == tuple(events)
+    assert (sched.total_cycles, sched.switches) == (total, switches)
+    assert sched.bank_conflicts == ()
+    assert schedule_csv(sched) == reference_csv(events)
+
+
+@st.composite
+def event_lists(draw):
+    """Small synthetic event lists, dense enough that ports often collide."""
+    n = draw(st.integers(1, 12))
+    params = ArchParams(
+        n=n,
+        k=draw(st.integers(1, 3)),
+        p=draw(st.integers(1, n)),
+        switch_cost=draw(st.integers(0, 3)),
+    )
+    stages = STAGES + ("Switch",) if draw(st.booleans()) else STAGES
+    events = []
+    for _ in range(draw(st.integers(0, 24))):
+        cycle, stage = draw(st.integers(1, 6)), draw(st.sampled_from(stages))
+        if stage == "Switch":
+            events.append(PipelineEvent(cycle, stage, -1, -1, -1))
+            continue
+        events.append(PipelineEvent(
+            cycle,
+            stage,
+            draw(st.integers(0, min(params.p, 3) - 1)),
+            draw(st.integers(0, n - 1)),
+            draw(st.integers(0, min(params.p, 3) - 1)),
+        ))
+    if draw(st.booleans()):
+        events.sort()
+    else:
+        random.Random(draw(st.integers(0, 2**16))).shuffle(events)
+    return params, events
+
+
+# a claim of the R bank or of a lane's first S copy, as opposed to the extra
+# copies the reference claims as well
+_OWN_PORT = re.compile(r"on \('(R|S1)', -?\d+\) ")
+
+
+@given(event_lists())
+def test_hazard_check_matches_reference(case):
+    params, events = case
+    ref = reference_hazards(events, params)
+    got = _check_hazards(events, params)
+    assert bool(got) == bool(ref)
+    assert got[:1] == ref[:1]
+    assert got == [m for m in ref if _OWN_PORT.search(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_precondition_maps_to_2(outdir, capsys):
 
 def test_negative_steps_is_usage_error(outdir, capsys):
     assert main(["run", "--alg", "max", "--n", "8", "--steps", "-1"]) == 1
-    assert "--steps" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --steps must be >= 0, got -1\n"
 
 
 def test_async_random_needs_seed(outdir, capsys):

@@ -398,6 +398,12 @@ def test_run_zero_steps():
     assert result.config.states == cfg.states and result.steps == 0
 
 
+def test_run_rejects_negative_steps():
+    cfg = make_configuration([1, 2], (1,), Topology.ring(2))
+    with pytest.raises(PreconditionError, match="negative, got -1"):
+        run(cfg, max_ruleset(), Steps(-1))
+
+
 def test_run_predicate():
     n = 4
     cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(n))

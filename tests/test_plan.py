@@ -5,7 +5,7 @@ one to four arms, with and without a stencil."""
 import random
 from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gca import (
@@ -21,16 +21,6 @@ from gca import (
     step_sync,
 )
 from gca.core import Address
-
-settings.register_profile(
-    "plan",
-    max_examples=100,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("plan")
-
 
 def shift(a, by: int):
     """Move an address by an amount that depends on ``by``."""
