@@ -8,10 +8,16 @@ executed run against the bundled brute-force references.
 
 Catalog entries are registered in :data:`CATALOG` by name; the firing module
 adds its own entries on import.
+
+Hot rules (max, reduce, Horn) read states by index (``q[0]``, ``q[1][0]``),
+and a pointer rule whose result depends on the stored pointer alone comes
+from :func:`_pointer_map`: one shared tuple per distinct pointer.  Rules that
+draw from an RNG (max's ``random``) or read more than that must not use it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 from typing import Any, Callable, Sequence
@@ -47,6 +53,22 @@ def trunc_mod(a: int, n: int) -> int:
 
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _pointer_map(step: Callable[[int], int]) -> Callable[[Any], tuple]:
+    """One-arm pointer rule ``p -> (step(p),)`` for a new pointer that depends
+    on the stored pointer ``p`` alone.  Results are memoised by ``p``, so all
+    cells holding one pointer share one result tuple."""
+    memo: dict = {}
+
+    def pointer_rule(ctx):
+        p = ctx.cell[1][0]
+        r = memo.get(p)
+        if r is None:
+            r = memo[p] = (step(p),)
+        return r
+
+    return pointer_rule
 
 
 @dataclass(frozen=True)
@@ -136,27 +158,24 @@ def alg_max(
         raise PreconditionError("data length mismatch")
 
     def data_rule(ctx):
-        d = ctx.cell.data
-        ds = ctx.neighbors[0].data
+        d = ctx.cell[0]
+        ds = ctx.neighbors[0][0]
         return ds if ds > d else d
 
     if pointer_variant == "const":
         def pointer_rule(ctx):
-            return ctx.cell.pointers
-    elif pointer_variant == "inc":
-        def pointer_rule(ctx):
-            return ((ctx.cell.pointers[0] + 1) % n,)
-    elif pointer_variant == "double":
-        def pointer_rule(ctx):
-            return ((2 * ctx.cell.pointers[0]) % n,)
-    elif pointer_variant == "half":
-        def pointer_rule(ctx):
-            return (n // 2,)
-    else:
+            return ctx.cell[1]
+    elif pointer_variant == "random":
         rng = __import__("random").Random(seed)
 
-        def pointer_rule(ctx):
+        def pointer_rule(ctx):  # one draw per cell: never memoised
             return (rng.randrange(n),)
+    else:
+        pointer_rule = _pointer_map({
+            "inc": lambda p: (p + 1) % n,
+            "double": lambda p: (2 * p) % n,
+            "half": lambda p: n // 2,
+        }[pointer_variant])
 
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
@@ -198,11 +217,11 @@ def alg_max(
 # reduction
 
 _REDUCE_FNS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
+    "sum": operator.add,
     "max": lambda a, b: a if a > b else b,
     "min": lambda a, b: a if a < b else b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
+    "and": operator.and_,
+    "or": operator.or_,
 }
 
 
@@ -224,15 +243,13 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
     if len(init_data) != n:
         raise PreconditionError("data length mismatch")
 
-    def data_rule(ctx):
+    def data_rule(ctx):  # fn(own, neighbour): a tie keeps the neighbour's value
         q = ctx.cell
-        if q.pointers[0]:
-            return fn(q.data, ctx.neighbors[0].data)
-        return q.data
+        if q[1][0]:
+            return fn(q[0], ctx.neighbors[0][0])
+        return q[0]
 
-    def pointer_rule(ctx):
-        return ((2 * ctx.cell.pointers[0]) % n,)
-
+    pointer_rule = _pointer_map(lambda p: (2 * p) % n)
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
@@ -287,13 +304,11 @@ def alg_prefix_sum_horn(n: int, data: Sequence | None = None) -> AlgorithmSpec:
 
     def data_rule(ctx):
         q = ctx.cell
-        if ctx.i >= -q.pointers[0]:
-            return q.data + ctx.neighbors[0].data
-        return q.data
+        if ctx.i >= -q[1][0]:
+            return q[0] + ctx.neighbors[0][0]
+        return q[0]
 
-    def pointer_rule(ctx):
-        return (trunc_mod(2 * ctx.cell.pointers[0], n),)
-
+    pointer_rule = _pointer_map(lambda p: trunc_mod(2 * p, n))
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )

@@ -257,15 +257,14 @@ def make_configuration(
     ``pointers`` may be one tuple (same for every cell), a per-cell sequence,
     or None for plain-model states.
     """
-    n = topology.n
-    if pointers is None:
-        states = [CellState(d, ()) for d in data]
-    elif isinstance(pointers, tuple):
-        states = [CellState(d, pointers) for d in data]
+    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
+    if pointers is None or isinstance(pointers, tuple):
+        shared = pointers or ()
+        states = [tnew(CellState, (d, shared)) for d in data]
     else:
-        if len(pointers) != n:
+        if len(pointers) != topology.n:
             raise PreconditionError("pointer vector length mismatch")
-        states = [CellState(d, tuple(p)) for d, p in zip(data, pointers)]
+        states = [tnew(CellState, (d, tuple(p))) for d, p in zip(data, pointers)]
     return Configuration(states, topology)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from io import StringIO
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import (
     CellState,
@@ -147,19 +147,18 @@ def snapshot_dump(cfg: Configuration, variant: str = "basic") -> str:
     return TRACE_HEADER + "\n" + json.dumps(doc) + "\n"
 
 
+def _tuples(v: Any) -> Any:
+    """JSON arrays back to (nested) tuples, e.g. 2-D pointers ``((1, 0),)``."""
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
+
+
 def snapshot_parse(text: str) -> tuple[Configuration, dict]:
     """Inverse of :func:`snapshot_dump`; returns (configuration, metadata)."""
     lines = text.split("\n", 1)
     if not lines or lines[0] != TRACE_HEADER:
         raise PreconditionError(f"snapshot missing {TRACE_HEADER!r} header")
     doc = json.loads(lines[1])
-    states = [
-        CellState(
-            tuple(s["d"]) if isinstance(s["d"], list) else s["d"],
-            tuple(s["p"]),
-        )
-        for s in doc["states"]
-    ]
+    states = [CellState(_tuples(s["d"]), _tuples(s["p"])) for s in doc["states"]]
     topo = Topology(tuple(doc["topology"]))
     cfg = Configuration(states, topo, doc.get("time", 0))
     meta = {"variant": doc.get("variant", "basic"), "m": doc.get("m", 0)}

@@ -4,8 +4,20 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gca import CATALOG, PreconditionError, Steps, catalog_names, default_instance, execute
+from gca import (
+    CATALOG,
+    PreconditionError,
+    RuleSet,
+    Steps,
+    catalog_names,
+    default_instance,
+    execute,
+    make_configuration,
+    step_sync,
+)
 from gca.algorithms import (
     alg_bitonic_merge,
     alg_fft,
@@ -142,6 +154,117 @@ def test_horn_fan_in_at_most_two():
     for step_edges in res.trace.edges:
         readers = Counter(tgt for _, tgt in step_edges)
         assert max(readers.values()) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the hot rules against the plain forms they replaced: attribute reads, one
+# lambda per reduce op and a fresh pointer tuple per cell
+
+REF_FNS = {
+    "sum": lambda a, b: a + b,
+    "max": lambda a, b: a if a > b else b,
+    "min": lambda a, b: a if a < b else b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+}
+
+
+def ref_rules(kind: str, n: int, seed: int) -> RuleSet:
+    if kind == "horn":
+        def data_rule(ctx):
+            q = ctx.cell
+            if ctx.i >= -q.pointers[0]:
+                return q.data + ctx.neighbors[0].data
+            return q.data
+
+        def pointer_rule(ctx):
+            return (trunc_mod(2 * ctx.cell.pointers[0], n),)
+
+    elif kind.startswith("reduce-"):
+        fn = REF_FNS["sum" if kind == "reduce-avg" else kind[7:]]
+
+        def data_rule(ctx):
+            q = ctx.cell
+            if q.pointers[0]:
+                return fn(q.data, ctx.neighbors[0].data)
+            return q.data
+
+        def pointer_rule(ctx):
+            return ((2 * ctx.cell.pointers[0]) % n,)
+
+    else:
+        def data_rule(ctx):
+            d = ctx.cell.data
+            ds = ctx.neighbors[0].data
+            return ds if ds > d else d
+
+        rng = random.Random(seed)
+        pointer_rule = {
+            "max-const": lambda ctx: ctx.cell.pointers,
+            "max-inc": lambda ctx: ((ctx.cell.pointers[0] + 1) % n,),
+            "max-double": lambda ctx: ((2 * ctx.cell.pointers[0]) % n,),
+            "max-half": lambda ctx: (n // 2,),
+            "max-random": lambda ctx: (rng.randrange(n),),
+        }[kind]
+    return RuleSet(variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule)
+
+
+def build(kind: str, n: int, data, seed: int):
+    if kind == "horn":
+        return alg_prefix_sum_horn(n, data)
+    if kind.startswith("reduce-"):
+        return alg_reduce(n, kind[7:], data)
+    return alg_max(n, data, kind[4:], seed=seed)
+
+
+HOT_KINDS = ["horn"] + [f"reduce-{op}" for op in (*REF_FNS, "avg")] + [
+    f"max-{v}" for v in ("const", "inc", "double", "half", "random")
+]
+# equal values of different types, so which operand a tie returns shows
+TIED = st.sampled_from([0, 1, 1.0, True, False, 0.0, 2, 2.0, -1, 3])
+BITS = st.sampled_from([0, 1, True, False, 2, 3, 6])
+
+
+@st.composite
+def hot_cases(draw):
+    kind = draw(st.sampled_from(HOT_KINDS))
+    n = 1 << draw(st.integers(1, 5))
+    values = BITS if kind in ("reduce-and", "reduce-or") else TIED
+    data = draw(st.lists(values, min_size=n, max_size=n))
+    seed = draw(st.integers(0, 9))
+    spec = build(kind, n, data, seed)
+    cfg = spec.initial()
+    if draw(st.booleans()):
+        # off-orbit pointers (3 on n=8), each cell its own tuple object
+        ptrs = draw(st.lists(st.integers(-n + 1, n - 1), min_size=n, max_size=n))
+        cfg = make_configuration(data, [tuple([p]) for p in ptrs], spec.topology)
+    return kind, n, seed, spec, cfg
+
+
+def typed(cfg):
+    return [(q.data, type(q.data), q.pointers, type(q.pointers[0])) for q in cfg.states]
+
+
+@given(hot_cases())
+def test_hot_rules_match_reference(case):
+    kind, n, seed, spec, cfg = case
+    ref = ref_rules(kind, n, seed)
+    got, want = cfg, cfg
+    for _ in range(n.bit_length() + 1):
+        got, want = step_sync(got, spec.ruleset), step_sync(want, ref)
+        assert typed(got) == typed(want)
+        if "max" in kind or "min" in kind:
+            # selecting rules pass objects on; a tie keeps the neighbour's
+            assert all(a.data is b.data for a, b in zip(got.states, want.states))
+
+
+@pytest.mark.parametrize("spec", [alg_reduce(16, "sum"), alg_reduce(8, "max"),
+                                  alg_prefix_sum_horn(16)])
+def test_pointer_doubling_shares_one_pointer_tuple(spec):
+    cfg = spec.initial()
+    for _ in range(3):
+        cfg = step_sync(cfg, spec.ruleset)
+        assert len({id(q.pointers) for q in cfg.states}) == 1
 
 
 # ---------------------------------------------------------------------------

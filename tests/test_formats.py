@@ -1,8 +1,10 @@
 """Rendering and serialization round-trips."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gca import Topology, make_configuration
+from gca import Topology, catalog_names, default_instance, make_configuration
 from gca.algorithms import alg_xor2d
 from gca.core import Trace
 from gca.formats import (
@@ -111,6 +113,64 @@ def test_snapshot_round_trip_2d_tuple_data():
     back, _ = snapshot_parse(snapshot_dump(cfg, variant="plain"))
     assert back.states == cfg.states
     assert back.topology.is_2d
+
+
+scalars = st.one_of(
+    st.integers(-99, 99),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+)
+
+
+@st.composite
+def configurations(draw):
+    """Rings and tori under every variant, with int or (x, y) pair pointers
+    (one tuple per cell) and scalar or tuple data."""
+    if draw(st.booleans()):
+        topo = Topology.torus(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    else:
+        topo = Topology.ring(draw(st.integers(1, 9)))
+    variant = draw(st.sampled_from(["basic", "general", "plain"]))
+    arms = 0 if variant == "plain" else draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    ptr = pair if draw(st.booleans()) else st.integers(-9, 9)
+    data = scalars | st.tuples(scalars, scalars) if draw(st.booleans()) else scalars
+    n = topo.n
+    cfg = make_configuration(
+        draw(st.lists(data, min_size=n, max_size=n)),
+        draw(st.lists(st.tuples(*[ptr] * arms), min_size=n, max_size=n)),
+        topo,
+    )
+    return type(cfg)(cfg.states, topo, draw(st.integers(0, 50))), variant, arms
+
+
+@given(configurations())
+def test_snapshot_round_trip_property(case):
+    cfg, variant, arms = case
+    text = snapshot_dump(cfg, variant=variant)
+    back, meta = snapshot_parse(text)
+    assert back.states == cfg.states
+    assert {hash(q) for q in back.states}  # nested tuples, no lists
+    assert (back.topology, back.time) == (cfg.topology, cfg.time)
+    assert meta == {"variant": variant, "m": arms}
+    assert snapshot_dump(back, variant=variant) == text
+
+
+def test_snapshot_round_trip_torus_pair_pointers():
+    cfg = make_configuration([0] * 9, ((1, 0), (0, -1)), Topology.torus(3, 3))
+    back, _ = snapshot_parse(snapshot_dump(cfg))
+    assert back.states[4].pointers == ((1, 0), (0, -1))
+    assert back.states == cfg.states
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_snapshot_round_trip_catalog_initial(name):
+    spec = default_instance(name)
+    cfg = spec.initial()
+    back, _ = snapshot_parse(snapshot_dump(cfg, variant=spec.ruleset.variant))
+    assert back.states == cfg.states
+    assert {hash(q) for q in back.states}
 
 
 def test_snapshot_parse_rejects_headerless():
