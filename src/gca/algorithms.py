@@ -91,7 +91,6 @@ class AlgorithmSpec:
     events: tuple[tuple[int, Callable[[Configuration], None]], ...] = ()
     annotate: Callable[[int, list[Configuration]], str] | None = None
     verify: Callable[["AlgorithmSpec", RunResult], str | None] | None = None
-    xor_linear: bool = False
 
 
 def execute(
@@ -460,18 +459,59 @@ def cross_grid(w: int, h: int) -> list[list[int]]:
     return g
 
 
-def _grid_config(grid: Sequence[Sequence[int]], topo: Topology, pointers) -> Configuration:
-    data = [v for row in grid for v in row]
-    return make_configuration(data, pointers, topo)
-
-
 def _xor4_data_rule(ctx):
     nb = ctx.neighbors
     return (nb[0].data + nb[1].data + nb[2].data + nb[3].data) & 1
 
 
+def _keep_pointers(ctx):
+    return ctx.cell.pointers
+
+
 def _nesw(p: int) -> tuple:
     return ((0, -p), (p, 0), (0, p), (-p, 0))
+
+
+def _xor_torus(
+    name: str,
+    n: int,
+    grid: Sequence[Sequence[int]] | None,
+    steps: int,
+    params: dict,
+    ruleset: RuleSet,
+    pointers: tuple | None,
+    reference: Callable[[list[list[int]], int], list[list[list[int]]]],
+) -> AlgorithmSpec:
+    """The scaffold every torus XOR entry shares: an n x n torus starting
+    from ``grid`` (a centred cross by default), every cell holding
+    ``pointers``, run for ``steps`` generations.  Verification compares each
+    recorded generation with ``reference(grid, steps)``."""
+    if n < 2:
+        raise PreconditionError(f"torus side must be at least 2, got {n}")
+    topo = Topology.torus(n, n)
+    init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
+
+    def initial() -> Configuration:
+        return make_configuration([v for row in init_grid for v in row], pointers, topo)
+
+    def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
+        snaps = _need_trace(result)
+        history = reference(init_grid, result.steps)
+        for t, snap in enumerate(snaps):
+            if snap.grid() != history[t]:
+                return f"grid at t={t} differs from reference evolution"
+        return None
+
+    return AlgorithmSpec(
+        name=name,
+        ruleset=ruleset,
+        topology=topo,
+        initial=initial,
+        stop=Steps(steps),
+        expected_steps=steps,
+        params=params,
+        verify=verify,
+    )
 
 
 _XOR2D_RULES = ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r8r")
@@ -502,72 +542,6 @@ def xor2d_pointer_sequence(rule: str, n: int, steps: int) -> list[int]:
     return seq
 
 
-def alg_xor2d(
-    n: int,
-    rule: str = "r1",
-    grid: Sequence[Sequence[int]] | None = None,
-    steps: int = 16,
-) -> AlgorithmSpec:
-    """Binary XOR automaton on an n x n torus with one common arm length.
-
-    Every cell reads north, east, south and west at distance p and keeps the
-    parity; p itself evolves by one of the catalog rules (constant, cyclic
-    increments by 1..5, doubling, tripling, or tripling re-seeded to 1).
-    """
-    if n < 2:
-        raise PreconditionError(f"torus side must be at least 2, got {n}")
-    if rule not in _XOR2D_RULES:
-        raise PreconditionError(f"unknown xor2d rule {rule!r}")
-    topo = Topology.torus(n, n)
-    init_grid = (
-        [list(r) for r in grid] if grid is not None else cross_grid(n, n)
-    )
-
-    def modifier(ctx):
-        return _nesw(ctx.cell.pointers[0])
-
-    if rule == "r1":
-        def pointer_rule(ctx):
-            return (1,)
-    else:
-        def pointer_rule(ctx):
-            return (xor2d_pointer_step(rule, ctx.cell.pointers[0], n),)
-
-    ruleset = RuleSet(
-        variant="general",
-        arms=4,
-        data_rule=_xor4_data_rule,
-        pointer_rule=pointer_rule,
-        address_modifier=modifier,
-    )
-
-    def initial() -> Configuration:
-        return _grid_config(init_grid, topo, (1,))
-
-    def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
-        snaps = _need_trace(result)
-        seq = xor2d_pointer_sequence(rule, n, result.steps)
-        history = oracles.xor_evolution(
-            n, n, init_grid, lambda t, x, y: _nesw(seq[t]), result.steps
-        )
-        for t, snap in enumerate(snaps):
-            if snap.grid() != history[t]:
-                return f"grid at t={t} differs from reference evolution"
-        return None
-
-    return AlgorithmSpec(
-        name=f"xor2d-{rule}",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        expected_steps=steps,
-        params={"n": n, "rule": rule},
-        verify=verify,
-        xor_linear=True,
-    )
-
-
 _TIMEDEP_RULES = ("tB", "tC", "tD", "tE")
 
 
@@ -587,68 +561,6 @@ def timedep_arm_lengths(rule: str, t: int) -> tuple[int, int]:
     raise PreconditionError(f"unknown time-dependent rule {rule!r}")
 
 
-def alg_xor_timedep(
-    n: int,
-    rule: str = "tB",
-    grid: Sequence[Sequence[int]] | None = None,
-    steps: int = 16,
-) -> AlgorithmSpec:
-    """XOR torus automaton whose arm lengths alternate with the generation.
-
-    Rules B/C/D alternate a single length (1,2), (1,3), (1,4); rule E swaps
-    an asymmetric pair, (px,py) = (1,3) then (3,1).
-    """
-    if rule not in _TIMEDEP_RULES:
-        raise PreconditionError(f"unknown time-dependent rule {rule!r}")
-    if n < 2:
-        raise PreconditionError(f"torus side must be at least 2, got {n}")
-    topo = Topology.torus(n, n)
-    init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
-
-    def modifier(ctx):
-        px, py = timedep_arm_lengths(rule, ctx.t)
-        return ((0, -py), (px, 0), (0, py), (-px, 0))
-
-    def pointer_rule(ctx):
-        return ctx.cell.pointers
-
-    ruleset = RuleSet(
-        variant="general",
-        arms=4,
-        data_rule=_xor4_data_rule,
-        pointer_rule=pointer_rule,
-        address_modifier=modifier,
-    )
-
-    def initial() -> Configuration:
-        return _grid_config(init_grid, topo, (1,))
-
-    def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
-        snaps = _need_trace(result)
-
-        def offsets(t: int, x: int, y: int):
-            px, py = timedep_arm_lengths(rule, t)
-            return ((0, -py), (px, 0), (0, py), (-px, 0))
-
-        history = oracles.xor_evolution(n, n, init_grid, offsets, result.steps)
-        for t, snap in enumerate(snaps):
-            if snap.grid() != history[t]:
-                return f"grid at t={t} differs from reference evolution"
-        return None
-
-    return AlgorithmSpec(
-        name=f"xor2d-{rule}",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        expected_steps=steps,
-        params={"n": n, "rule": rule},
-        verify=verify,
-        xor_linear=True,
-    )
-
-
 _SPACEDEP_RULES = {"sF": 1, "sG": 2, "sH": 3}
 
 
@@ -659,27 +571,65 @@ def spacedep_offsets(rule: str, x: int, y: int) -> tuple:
     return ((p, -p), (p, p), (-p, p), (-p, -p))
 
 
-def alg_xor_spacedep(
+_TORUS_RULES = _XOR2D_RULES + _TIMEDEP_RULES + tuple(_SPACEDEP_RULES)
+
+
+def alg_xor2d(
     n: int,
-    rule: str = "sF",
+    rule: str = "r1",
     grid: Sequence[Sequence[int]] | None = None,
     steps: int = 16,
 ) -> AlgorithmSpec:
-    """Checkerboard XOR torus: cells with even x+y read orthogonally, the
-    others diagonally, all at a fixed distance (1, 2 or 3)."""
-    if rule not in _SPACEDEP_RULES:
-        raise PreconditionError(f"unknown space-dependent rule {rule!r}")
-    if n < 2:
-        raise PreconditionError(f"torus side must be at least 2, got {n}")
-    topo = Topology.torus(n, n)
-    init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
+    """Binary XOR automaton on an n x n torus: every cell reads four cells
+    and keeps the parity of what it read.  The rule picks one of three
+    families of arms:
 
-    def modifier(ctx):
-        i = ctx.i
-        return spacedep_offsets(rule, i % n, i // n)
+    - common length, ``r1``..``r8r``: every cell reads north, east, south
+      and west at one distance p, stored as its pointer.  p evolves by the
+      pointer rule: constant, cyclic increments by 1..5, doubling, tripling,
+      or tripling re-seeded to 1.
+    - time-alternating, ``tB``..``tE``: the arm lengths depend on the
+      generation.  B/C/D alternate one length between (1,2), (1,3) and
+      (1,4); E swaps an asymmetric pair, (px,py) = (1,3) then (3,1).
+    - checkerboard, ``sF``..``sH``: cells with even x+y read orthogonally,
+      the others diagonally, all at a fixed distance 1, 2 or 3.
+    """
+    if rule in _XOR2D_RULES:
+        def modifier(ctx):
+            return _nesw(ctx.cell[1][0])
 
-    def pointer_rule(ctx):
-        return ctx.cell.pointers
+        pointer_rule = _pointer_map(lambda p: xor2d_pointer_step(rule, p, n))
+        pointers = (1,)
+
+        def arms(k: int):
+            seq = xor2d_pointer_sequence(rule, n, k)
+            return lambda t, x, y: _nesw(seq[t])
+    elif rule in _TIMEDEP_RULES:
+        def modifier(ctx):
+            px, py = timedep_arm_lengths(rule, ctx.t)
+            return ((0, -py), (px, 0), (0, py), (-px, 0))
+
+        pointer_rule = _keep_pointers
+        pointers = (1,)
+
+        def arms(k: int):
+            def offsets(t: int, x: int, y: int):
+                px, py = timedep_arm_lengths(rule, t)
+                return ((0, -py), (px, 0), (0, py), (-px, 0))
+
+            return offsets
+    elif rule in _SPACEDEP_RULES:
+        def modifier(ctx):
+            i = ctx.i
+            return spacedep_offsets(rule, i % n, i // n)
+
+        pointer_rule = _keep_pointers
+        pointers = (_SPACEDEP_RULES[rule],)
+
+        def arms(k: int):
+            return lambda t, x, y: spacedep_offsets(rule, x, y)
+    else:
+        raise PreconditionError(f"unknown xor2d rule {rule!r}")
 
     ruleset = RuleSet(
         variant="general",
@@ -688,30 +638,9 @@ def alg_xor_spacedep(
         pointer_rule=pointer_rule,
         address_modifier=modifier,
     )
-
-    def initial() -> Configuration:
-        return _grid_config(init_grid, topo, (_SPACEDEP_RULES[rule],))
-
-    def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
-        snaps = _need_trace(result)
-        history = oracles.xor_evolution(
-            n, n, init_grid, lambda t, x, y: spacedep_offsets(rule, x, y), result.steps
-        )
-        for t, snap in enumerate(snaps):
-            if snap.grid() != history[t]:
-                return f"grid at t={t} differs from reference evolution"
-        return None
-
-    return AlgorithmSpec(
-        name=f"xor2d-{rule}",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        expected_steps=steps,
-        params={"n": n, "rule": rule},
-        verify=verify,
-        xor_linear=True,
+    return _xor_torus(
+        f"xor2d-{rule}", n, grid, steps, {"n": n, "rule": rule}, ruleset, pointers,
+        lambda g, k: oracles.xor_evolution(n, n, g, arms(k), k),
     )
 
 
@@ -725,14 +654,10 @@ def alg_xor_plain(
     """State-dependent XOR torus in the unstructured model: a cell holding 0
     reads its four orthogonal neighbors at distance ``a``, a cell holding 1 at
     distance ``b``; the new state is the parity of the four reads."""
-    if n < 2:
-        raise PreconditionError(f"torus side must be at least 2, got {n}")
     if not (1 <= a <= n // 2 and 1 <= b <= n // 2):
         raise PreconditionError(
             f"arm lengths must satisfy 1 <= A,B <= n/2, got A={a} B={b} n={n}"
         )
-    topo = Topology.torus(n, n)
-    init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
 
     def pointer_function(i: int, q: CellState) -> tuple:
         p = a if q.data == 0 else b
@@ -744,27 +669,9 @@ def alg_xor_plain(
         data_rule=_xor4_data_rule,
         pointer_function=pointer_function,
     )
-
-    def initial() -> Configuration:
-        return _grid_config(init_grid, topo, None)
-
-    def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
-        snaps = _need_trace(result)
-        history = oracles.plain_xor_evolution(n, init_grid, a, b, result.steps)
-        for t, snap in enumerate(snaps):
-            if snap.grid() != history[t]:
-                return f"grid at t={t} differs from reference evolution"
-        return None
-
-    return AlgorithmSpec(
-        name="xor-plain",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        expected_steps=steps,
-        params={"n": n, "a": a, "b": b},
-        verify=verify,
+    return _xor_torus(
+        "xor-plain", n, grid, steps, {"n": n, "a": a, "b": b}, ruleset, None,
+        lambda g, k: oracles.plain_xor_evolution(n, g, a, b, k),
     )
 
 
@@ -790,32 +697,26 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         nb = ctx.neighbors
         return (nb[0].data + nb[1].data) & 1
 
-    if variant == "basic":
-        def pointer_rule(ctx):
-            p1, p2 = ctx.cell.pointers
-            a = trunc_mod(2 * p1, n)
-            if a == 0:
-                a = 1
-            b = trunc_mod(2 * p2, n)
-            if b == 0:
-                b = -1
-            return (a, b)
+    # sign of the stored second arm: basic stores -a, general stores a and
+    # negates it at access time
+    sign = -1 if variant == "basic" else 1
+    init_pointers = (1, sign)
 
+    def pointer_rule(ctx):
+        p1, p2 = ctx.cell.pointers
+        a = trunc_mod(2 * p1, n)
+        if a == 0:
+            a = 1
+        b = trunc_mod(2 * p2, n)
+        if b == 0:
+            b = sign
+        return (a, b)
+
+    if variant == "basic":
         ruleset = RuleSet(
             variant="basic", arms=2, data_rule=data_rule, pointer_rule=pointer_rule
         )
-        init_pointers = (1, -1)
     else:
-        def pointer_rule(ctx):
-            p1, p2 = ctx.cell.pointers
-            a = trunc_mod(2 * p1, n)
-            if a == 0:
-                a = 1
-            b = trunc_mod(2 * p2, n)
-            if b == 0:
-                b = 1
-            return (a, b)
-
         def modifier(ctx):
             p1, p2 = ctx.cell.pointers
             return (p1, -p2)
@@ -827,12 +728,12 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
             pointer_rule=pointer_rule,
             address_modifier=modifier,
         )
-        init_pointers = (1, 1)
+
+    init_row = [0] * n
+    init_row[mid] = 1
 
     def initial() -> Configuration:
-        data = [0] * n
-        data[mid] = 1
-        return make_configuration(data, init_pointers, topo)
+        return make_configuration(list(init_row), init_pointers, topo)
 
     def effective_arms(t: int, snaps: list[Configuration]) -> tuple[int, int]:
         # arms used by the step that produced row t (row 0: the coming step)
@@ -850,17 +751,22 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
-        arms = [effective_arms(t + 1, snaps) for t in range(result.steps)]
+        # both variants read (a, -a), with a <- 2a mod n re-seeded at 1
+        arms = [1]
+        for _ in range(result.steps):
+            arms.append((2 * arms[-1]) % n or 1)
 
         def offsets(t: int, x: int, y: int):
-            a1, a2 = arms[t]
-            return ((a1, 0), (a2, 0))
+            return ((arms[t], 0), (-arms[t], 0))
 
-        init_row = [snaps[0].states[j].data for j in range(n)]
         history = oracles.xor_evolution(n, 1, [init_row], offsets, result.steps)
         for t, snap in enumerate(snaps):
             if history[t][0] != snap.data():
                 return f"data row t={t} differs from reference evolution"
+            # the arm n/2 clears every cell, so only the stored pointers show
+            # the re-seed that follows it
+            if snap.states[mid].pointers != (arms[t], sign * arms[t]):
+                return f"pointers at t={t} differ from the doubling recurrence"
         if n == 31 and result.steps == 5:
             from .formats import render_rows
 
@@ -882,7 +788,6 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         params={"n": n, "variant": variant, "steps": steps},
         annotate=annotate,
         verify=verify,
-        xor_linear=True,
     )
 
 
@@ -992,17 +897,9 @@ CATALOG: dict[str, Callable[..., AlgorithmSpec]] = {
     "fft": lambda n=None, k=3, **kw: alg_fft(k, **kw),
 }
 
-for _rule in _XOR2D_RULES:
+for _rule in _TORUS_RULES:
     CATALOG[f"xor2d-{_rule}"] = (
         lambda n, _r=_rule, **kw: alg_xor2d(n, _r, **kw)
-    )
-for _rule in _TIMEDEP_RULES:
-    CATALOG[f"xor2d-{_rule}"] = (
-        lambda n, _r=_rule, **kw: alg_xor_timedep(n, _r, **kw)
-    )
-for _rule in _SPACEDEP_RULES:
-    CATALOG[f"xor2d-{_rule}"] = (
-        lambda n, _r=_rule, **kw: alg_xor_spacedep(n, _r, **kw)
     )
 
 

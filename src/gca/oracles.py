@@ -247,16 +247,13 @@ def oracle_xor_linear_check(
     init1: Sequence[Sequence[int]],
     init2: Sequence[Sequence[int]],
     steps: int,
-    data_independent: bool = True,
 ) -> bool:
     """Superposition test: evolve(i1 xor i2) == evolve(i1) xor evolve(i2).
 
     ``evolve(grid, steps)`` is supplied by the caller and must return all
-    generations.  Rejects state-dependent pointer rules, whose evolution is
-    not linear.
+    generations.  Only evolutions whose reads do not depend on the states
+    are linear; a state-dependent rule (xor-plain) generally fails it.
     """
-    if not data_independent:
-        raise ValueError("linearity check requires state-independent pointers")
     both = [
         [c1 ^ c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(init1, init2)
     ]

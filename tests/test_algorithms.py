@@ -1,7 +1,8 @@
 """Catalog algorithms against their oracles."""
 
+import dataclasses
 import random
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from gca import (
     default_instance,
     execute,
     make_configuration,
+    run,
     step_sync,
 )
 from gca.algorithms import (
@@ -42,6 +44,7 @@ from gca.oracles import (
     oracle_reduce,
     oracle_scan,
     oracle_sort,
+    oracle_xor_linear_check,
     plain_xor_evolution,
 )
 
@@ -350,29 +353,169 @@ def test_xor2d_equivalences():
     assert r1[7] == grids("r7", 3)[3]
 
 
-def test_xor2d_linearity():
-    rng = random.Random(27)
-    n, steps = 8, 6
-    g1 = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-    g2 = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-    g12 = [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
+TORUS_RULES = (
+    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r8r",
+    "tB", "tC", "tD", "tE", "sF", "sG", "sH",
+)
+# The families whose reads do not depend on the states, so their evolution
+# is linear over GF(2).  xor-plain is not among them.
+LINEAR_FAMILIES = tuple(f"xor2d-{r}" for r in TORUS_RULES) + (
+    "xor1d-basic", "xor1d-general",
+)
 
-    def rows(grid):
-        res = execute(alg_xor2d(n, "r4", grid=grid, steps=steps), record_states=True)
-        return [s.grid() for s in res.trace.snapshots]
 
-    h1, h2, hb = rows(g1), rows(g2), rows(g12)
-    for t in range(steps + 1):
-        xored = [
-            [a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(h1[t], h2[t])
-        ]
-        assert xored == hb[t]
+def engine_evolution(name, n):
+    """``evolve(grid, steps)``: every generation the engine computes for the
+    catalog family ``name`` of side ``n`` started from ``grid`` (one row for
+    xor1d, whose builder takes no data)."""
+    if name.startswith("xor1d"):
+        spec = CATALOG[name](n=n)
+        pointers = spec.initial().states[0].pointers
+
+        def evolve(grid, steps):
+            cfg = make_configuration(list(grid[0]), pointers, spec.topology)
+            res = run(cfg, spec.ruleset, Steps(steps), record_states=True)
+            return [[s.data()] for s in res.trace.snapshots]
+    else:
+        def evolve(grid, steps):
+            res = execute(CATALOG[name](n, grid=grid, steps=steps), record_states=True)
+            return [s.grid() for s in res.trace.snapshots]
+    return evolve
+
+
+def bit_grids(w, h):
+    row = st.lists(st.integers(0, 1), min_size=w, max_size=w)
+    return st.lists(row, min_size=h, max_size=h)
+
+
+@st.composite
+def linear_cases(draw):
+    name = draw(st.sampled_from(LINEAR_FAMILIES))
+    n = draw(st.integers(3, 9))
+    grids = bit_grids(n, 1 if name.startswith("xor1d") else n)
+    return name, n, draw(grids), draw(grids), draw(st.integers(0, 6))
+
+
+@given(linear_cases())
+def test_xor2d_linearity(case):
+    # superposition: the evolution of g1 xor g2 is the xor of the evolutions
+    name, n, g1, g2, steps = case
+    assert oracle_xor_linear_check(engine_evolution(name, n), g1, g2, steps)
+
+
+def shifted(grid, dx, dy):
+    n = len(grid)
+    return [[grid[(y - dy) % n][(x - dx) % n] for x in range(n)] for y in range(n)]
+
+
+@st.composite
+def shift_cases(draw):
+    rule = draw(st.sampled_from(TORUS_RULES))
+    dy = draw(st.integers(0, 9))
+    dx = draw(st.integers(0, 9))
+    if rule.startswith("s"):
+        # the checkerboard repeats only under shifts with even dx+dy, and
+        # wraps consistently only on an even side
+        n = 2 * draw(st.integers(1, 5))
+        dx += (dx + dy) % 2
+    else:
+        n = draw(st.integers(2, 9))
+    return rule, n, draw(bit_grids(n, n)), dx % n, dy % n, draw(st.integers(0, 6))
+
+
+@given(shift_cases())
+def test_xor2d_translation_equivariance(case):
+    rule, n, grid, dx, dy, steps = case
+    evolve = engine_evolution(f"xor2d-{rule}", n)
+    for g, gs in zip(evolve(grid, steps), evolve(shifted(grid, dx, dy), steps)):
+        assert gs == shifted(g, dx, dy)
+
+
+def closed_form_reads(rule, n, t, x, y):
+    """The offsets (N, E, S, W order; diagonals NE, SE, SW, NW) that cell
+    (x, y) reads in the step from generation t, as the rules are stated, or
+    None where no closed form is stated."""
+    if rule == "r1":
+        p = 1
+    elif rule in ("r2", "r3", "r4", "r5", "r6"):
+        p = 1 + (int(rule[1]) - 1) * t
+        if p >= n:  # past the first wrap
+            return None
+    elif rule == "r7":
+        p = pow(2, t, n)
+    elif rule == "r8":
+        p = pow(3, t, n)
+    elif rule == "r8r":
+        # tripling restarts from 1 instead of reaching 0, which happens
+        # only when n is a power of three
+        period = next((j for j in range(1, n) if pow(3, j, n) == 0), None)
+        p = pow(3, t % period if period else t, n)
+    elif rule.startswith("t"):
+        px, py = {
+            "tB": ((1, 1), (2, 2)),
+            "tC": ((1, 1), (3, 3)),
+            "tD": ((1, 1), (4, 4)),
+            "tE": ((1, 3), (3, 1)),
+        }[rule][t % 2]
+        return ((0, -py), (px, 0), (0, py), (-px, 0))
+    else:
+        p = {"sF": 1, "sG": 2, "sH": 3}[rule]
+        if (x + y) % 2:
+            return ((p, -p), (p, p), (-p, p), (-p, -p))
+    return ((0, -p), (p, 0), (0, p), (-p, 0))
+
+
+@pytest.mark.parametrize("rule", TORUS_RULES)
+def test_xor2d_read_distances_from_access_edges(rule):
+    for n, steps in ((8, 6), (27, 5), (32, 8)):
+        res = execute(CATALOG[f"xor2d-{rule}"](n, steps=steps), record_edges=True)
+        assert len(res.trace.edges) == steps
+        for t, edges in enumerate(res.trace.edges):
+            reads = defaultdict(list)
+            for i, j in edges:
+                reads[i].append(((j - i) % n, (j // n - i // n) % n))
+            for i in range(n * n):
+                want = closed_form_reads(rule, n, t, i % n, i // n)
+                if want is not None:
+                    got = reads[i]
+                    assert got == [(dx % n, dy % n) for dx, dy in want], (n, t, i)
 
 
 def test_cross_grid():
     g = cross_grid(7, 7)
     lit = {(x, y) for y in range(7) for x in range(7) if g[y][x]}
     assert lit == {(3, 3), (4, 3), (2, 3), (3, 4), (3, 2)}
+
+
+def test_xor_torus_builds():
+    # every torus entry keeps its name, params, step count and initial pointers
+    assert sorted(n for n in CATALOG if n.startswith("xor2d-")) == sorted(
+        f"xor2d-{r}" for r in TORUS_RULES
+    )
+    for rule in TORUS_RULES:
+        spec = default_instance(f"xor2d-{rule}")
+        assert (spec.name, spec.params, spec.expected_steps) == (
+            f"xor2d-{rule}", {"n": 8, "rule": rule}, 8
+        )
+        p = {"sG": 2, "sH": 3}.get(rule, 1)
+        assert {q.pointers for q in spec.initial().states} == {(p,)}
+    spec = default_instance("xor-plain")
+    assert (spec.name, spec.params, spec.expected_steps) == (
+        "xor-plain", {"n": 7, "a": 2, "b": 3}, 10
+    )
+    assert {q.pointers for q in spec.initial().states} == {()}
+
+
+def test_xor_torus_guards():
+    with pytest.raises(PreconditionError, match="'r9'"):
+        alg_xor2d(8, "r9")
+    for rule in TORUS_RULES:
+        for n in (1, 0, -3):
+            with pytest.raises(PreconditionError, match="torus side"):
+                alg_xor2d(n, rule)
+    for n in (1, 0):
+        with pytest.raises(PreconditionError):
+            alg_xor_plain(n)
 
 
 def test_timedep_arm_lengths():
@@ -467,6 +610,26 @@ def test_xor1d_annotations():
     res = execute(spec, record_states=True)
     snaps = res.trace.snapshots
     assert "p1eff=  16 p2eff= -16" in spec.annotate(5, snaps)
+
+
+@pytest.mark.parametrize("variant", ("basic", "general"))
+def test_xor1d_verify_rejects_a_wrong_reseed(variant):
+    # at n=32 the doubling arm reaches 0 at generation 5 and restarts at 1
+    spec = alg_xor1d(variant, n=32, steps=8)
+    res = checked(spec)
+    assert [s.states[16].pointers[0] for s in res.trace.snapshots] == [
+        1, 2, 4, 8, 16, 1, 2, 4, 8
+    ]
+    sign = -1 if variant == "basic" else 1
+
+    def reseed_at_2(ctx):
+        a = (2 * ctx.cell.pointers[0]) % 32 or 2
+        return (a, sign * a)
+
+    wrong = dataclasses.replace(
+        spec, ruleset=dataclasses.replace(spec.ruleset, pointer_rule=reseed_at_2)
+    )
+    assert spec.verify(wrong, execute(wrong, record_states=True)) is not None
 
 
 def test_xor1d_variants_same_data_rows():

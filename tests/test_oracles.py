@@ -194,8 +194,6 @@ def test_xor_evolution_is_linear():
         )
 
     assert oracle_xor_linear_check(evolve, g1, g2, 8)
-    with pytest.raises(ValueError):
-        oracle_xor_linear_check(evolve, g1, g2, 8, data_independent=False)
 
 
 def test_plain_evolution_equals_fixed_when_a_is_b():
