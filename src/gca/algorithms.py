@@ -7,7 +7,8 @@ row annotator for text rendering, and a verification hook comparing an
 executed run against the bundled brute-force references.
 
 Catalog entries are registered in :data:`CATALOG` by name; the firing module
-adds its own entries on import.
+adds its own entries on import.  An entry's parameters, with their defaults,
+are the options it takes and its default instance.
 
 Hot rules (max, reduce, Horn) read states by index (``q[0]``, ``q[1][0]``),
 and a pointer rule whose result depends on the stored pointer alone comes
@@ -133,7 +134,7 @@ _MAX_VARIANTS = ("const", "inc", "double", "half", "random")
 
 
 def alg_max(
-    n: int,
+    n: int = 16,
     data: Sequence | None = None,
     pointer_variant: str = "const",
     seed: int | None = None,
@@ -287,7 +288,7 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
 # ---------------------------------------------------------------------------
 # prefix sums
 
-def alg_prefix_sum_horn(n: int, data: Sequence | None = None) -> AlgorithmSpec:
+def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmSpec:
     """Prefix sums with negative doubling arms: p runs -1,-2,-4,...,-n/2,0 and
     cell i adds its arm value while i >= -p.  After log2(n) steps cell i holds
     d_0 + ... + d_i.  The run must stop there: at p=0 the printed rule adds
@@ -794,7 +795,7 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
 # ---------------------------------------------------------------------------
 # Fourier transform
 
-def alg_fft(k: int, values: Sequence[complex] | None = None) -> AlgorithmSpec:
+def alg_fft(k: int = 3, values: Sequence[complex] | None = None) -> AlgorithmSpec:
     """In-place butterfly network on 2^k cells, one round per generation.
 
     Cell state is (re, im, step, position); the partner offset is
@@ -880,54 +881,39 @@ def fft_result(cfg: Configuration) -> list[complex]:
 # ---------------------------------------------------------------------------
 # catalog
 
+# Family entries look their builder up by name when called, so a wrapper
+# installed on the module attribute sees every call.
 CATALOG: dict[str, Callable[..., AlgorithmSpec]] = {
     "max": alg_max,
-    "reduce-sum": lambda n, **kw: alg_reduce(n, "sum", **kw),
-    "reduce-max": lambda n, **kw: alg_reduce(n, "max", **kw),
-    "reduce-min": lambda n, **kw: alg_reduce(n, "min", **kw),
-    "reduce-and": lambda n, **kw: alg_reduce(n, "and", **kw),
-    "reduce-or": lambda n, **kw: alg_reduce(n, "or", **kw),
-    "reduce-avg": lambda n, **kw: alg_reduce(n, "avg", **kw),
     "horn": alg_prefix_sum_horn,
-    "bitonic": lambda n, **kw: alg_bitonic_merge(n, model="general", **kw),
-    "bitonic-basic": lambda n, **kw: alg_bitonic_merge(n, model="basic", **kw),
-    "xor-plain": alg_xor_plain,
-    "xor1d-basic": lambda n=31, **kw: alg_xor1d("basic", n, **kw),
-    "xor1d-general": lambda n=31, **kw: alg_xor1d("general", n, **kw),
-    "fft": lambda n=None, k=3, **kw: alg_fft(k, **kw),
+    "fft": alg_fft,
+    "xor-plain": lambda n=7, a=2, b=3, grid=None, steps=10: alg_xor_plain(
+        n, a, b, grid, steps
+    ),
 }
-
-for _rule in _TORUS_RULES:
-    CATALOG[f"xor2d-{_rule}"] = (
-        lambda n, _r=_rule, **kw: alg_xor2d(n, _r, **kw)
+for _op in ("sum", "max", "min", "and", "or", "avg"):
+    CATALOG[f"reduce-{_op}"] = lambda n=16, data=None, *, _op=_op: alg_reduce(
+        n, _op, data
     )
-
-
-_DEFAULT_INSTANCES: dict[str, dict] = {
-    "max": {"n": 16},
-    "reduce-sum": {"n": 16},
-    "reduce-max": {"n": 16},
-    "reduce-min": {"n": 16},
-    "reduce-and": {"n": 16},
-    "reduce-or": {"n": 16},
-    "reduce-avg": {"n": 16},
-    "horn": {"n": 16},
-    "bitonic": {"n": 16},
-    "bitonic-basic": {"n": 16},
-    "xor-plain": {"n": 7, "a": 2, "b": 3, "steps": 10},
-    "xor1d-basic": {"n": 31},
-    "xor1d-general": {"n": 31},
-    "fft": {"k": 3},
-}
+for _name, _model in (("bitonic", "general"), ("bitonic-basic", "basic")):
+    CATALOG[_name] = lambda n=16, data=None, *, _m=_model: alg_bitonic_merge(
+        n, data, _m
+    )
+for _variant in ("basic", "general"):
+    CATALOG[f"xor1d-{_variant}"] = lambda n=31, steps=5, *, _v=_variant: alg_xor1d(
+        _v, n, steps
+    )
+for _rule in _TORUS_RULES:
+    CATALOG[f"xor2d-{_rule}"] = lambda n=8, grid=None, steps=8, *, _r=_rule: alg_xor2d(
+        n, _r, grid, steps
+    )
 
 
 def default_instance(name: str) -> AlgorithmSpec:
     """A small canonical instance of a catalog algorithm (n <= 64)."""
-    builder = CATALOG.get(name)
-    if builder is None:
+    if name not in CATALOG:
         raise PreconditionError(f"unknown algorithm {name!r}")
-    kwargs = dict(_DEFAULT_INSTANCES.get(name, {"n": 8, "steps": 8}))
-    return builder(**kwargs)
+    return CATALOG[name]()
 
 
 def catalog_names() -> list[str]:

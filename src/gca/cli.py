@@ -8,14 +8,13 @@ Exit codes: 0 success, 1 usage error, 2 precondition violation,
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
-import re
 import sys
 from dataclasses import dataclass, fields
 
 from .algorithms import (
     CATALOG,
-    _DEFAULT_INSTANCES,
     AlgorithmSpec,
     catalog_names,
     default_instance,
@@ -122,56 +121,33 @@ def _parse_mode(cfg: RunConfig) -> tuple[str, str, int | None]:
     )
 
 
-def _build_spec(cfg: RunConfig) -> tuple[AlgorithmSpec, Steps | None]:
-    """Instantiate the algorithm, feeding it only the keywords it takes.
-
-    A --steps value the builder does not accept becomes a plain stop rule;
-    a rejected --seed is kept for the update schedule only.
+def _build_spec(cfg: RunConfig) -> AlgorithmSpec:
+    """Instantiate the algorithm with the options it takes; every other
+    parameter keeps the entry's default.  --seed reaches only an entry that
+    takes a seed (it still seeds the update schedule), and --steps is the
+    run's stop rule, never an entry's own parameter.
     """
     builder = CATALOG[cfg.alg]
-    kwargs = dict(_DEFAULT_INSTANCES.get(cfg.alg, {"n": 8, "steps": 8}))
-    if cfg.n is not None:
-        kwargs["n"] = cfg.n
-    elif cfg.w is not None or cfg.h is not None:
+    params = inspect.signature(builder).parameters
+    kwargs = {}
+    n = cfg.n
+    if n is None and (cfg.w is not None or cfg.h is not None):
         if cfg.w != cfg.h or cfg.w is None:
             raise PreconditionError(
                 "only square grids are cataloged; pass equal --w/--h or --n"
             )
-        kwargs["n"] = cfg.w
-    if cfg.steps is not None:
-        kwargs["steps"] = cfg.steps
-    if cfg.seed is not None:
-        kwargs["seed"] = cfg.seed
-    variant_key = None
+        n = cfg.w
+    if n is not None:
+        if "n" not in params:
+            raise PreconditionError(f"algorithm {cfg.alg!r} does not accept n")
+        kwargs["n"] = n
     if cfg.variant is not None:
-        variant_key = "pointer_variant"
-        kwargs[variant_key] = cfg.variant
-    stop_override: Steps | None = None
-    while True:
-        try:
-            return builder(**kwargs), stop_override
-        except TypeError as exc:
-            m = re.search(r"unexpected keyword argument '(\w+)'", str(exc))
-            if not m or m.group(1) not in kwargs:
-                raise
-            bad = m.group(1)
-            value = kwargs.pop(bad)
-            if bad == variant_key:
-                if variant_key == "pointer_variant":
-                    variant_key = "model"
-                    kwargs[variant_key] = value
-                    continue
-                raise PreconditionError(
-                    f"algorithm {cfg.alg!r} has no variants"
-                ) from None
-            if bad == "steps":
-                stop_override = Steps(value)
-                continue
-            if bad == "seed":
-                continue
-            raise PreconditionError(
-                f"algorithm {cfg.alg!r} does not accept {bad}"
-            ) from None
+        if "pointer_variant" not in params:
+            raise PreconditionError(f"algorithm {cfg.alg!r} has no variants")
+        kwargs["pointer_variant"] = cfg.variant
+    if cfg.seed is not None and "seed" in params:
+        kwargs["seed"] = cfg.seed
+    return builder(**kwargs)
 
 
 _HALT_TEXT = {"fixed-point": "fixed point", "steps": "steps", "predicate": "predicate"}
@@ -200,11 +176,11 @@ def cmd_run(cfg: RunConfig) -> int:
         print(f"error: --steps must be >= 0, got {cfg.steps}", file=sys.stderr)
         return 1
     mode, order, seed = _parse_mode(cfg)
-    spec, stop_override = _build_spec(cfg)
+    spec = _build_spec(cfg)
     if cfg.stop == "fixed-point":
         stop = FixedPoint()
     elif cfg.stop is None:
-        stop = stop_override
+        stop = None if cfg.steps is None else Steps(cfg.steps)
     else:
         raise PreconditionError(f"unknown stop rule {cfg.stop!r}")
     want_states = cfg.format != "none" and cfg.states
@@ -289,16 +265,15 @@ def cmd_arch(args) -> int:
     if args.alg is not None and args.alg not in CATALOG:
         print(f"error: unknown algorithm {args.alg!r}", file=sys.stderr)
         return 1
-    p = args.dpa if args.dpa else 1
+    p = args.dpa if args.dpa is not None else 1
     spec = None
     if args.alg is not None:
-        overrides = RunConfig(alg=args.alg, n=args.n)
-        spec, _ = _build_spec(overrides)
+        spec = _build_spec(RunConfig(alg=args.alg, n=args.n))
         n = spec.topology.n
-        k = max(args.k, spec.ruleset.arms) if args.k else max(1, spec.ruleset.arms)
+        k = spec.ruleset.arms if args.k is None else max(args.k, spec.ruleset.arms)
     else:
         n = args.n if args.n is not None else 8
-        k = args.k or 1
+        k = args.k if args.k is not None else 1
     params = ArchParams(n=n, k=k, p=min(p, n), delta=args.delta)
     if args.capacity:
         print(capacity_table(params), end="")
@@ -371,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n", type=int, help="cell count / grid side")
     run_p.add_argument("--w", type=int, help="grid width (square grids only)")
     run_p.add_argument("--h", type=int, help="grid height (square grids only)")
-    run_p.add_argument("--variant", help="algorithm variant override")
+    run_p.add_argument("--variant", help="pointer variant (max only)")
     run_p.add_argument("--mode", help="sync | async:order[:seed]")
     run_p.add_argument("--steps", type=int, help="generations to run")
     run_p.add_argument("--stop", choices=["fixed-point"], help="halt condition")

@@ -68,7 +68,9 @@ def trace_rows(snapshots) -> list[str]:
 # ---------------------------------------------------------------------------
 # wave solution
 
-def firing_wave(n: int, general_at: int = 0, steps: int | None = None) -> AlgorithmSpec:
+def firing_wave(
+    n: int = 16, general_at: int = 0, steps: int | None = None
+) -> AlgorithmSpec:
     """All n cells fire simultaneously at t = n+1 via a clockwise wave.
 
     Quiescent cells keep p=-1 (left neighbor).  The soldier left of the
@@ -181,9 +183,9 @@ def parse_ring_layout(text: str) -> tuple[list[list[int]], list[int]]:
 
 
 def firing_rings(
-    n: int,
-    rings: Sequence[Sequence[int]],
-    generals: Sequence[int],
+    n: int = 9,
+    rings: Sequence[Sequence[int]] = ((2, 4, 6), (1, 3, 5, 7)),
+    generals: Sequence[int] = (6, 1),
     steps: int | None = None,
 ) -> AlgorithmSpec:
     """Several disjoint cell rings embedded in one array, each synchronizing
@@ -306,7 +308,9 @@ def firing_rings(
 # ---------------------------------------------------------------------------
 # pointer jumping, solution 1
 
-def firing_jump_v1(n: int, general_at: int = 0, steps: int | None = None) -> AlgorithmSpec:
+def firing_jump_v1(
+    n: int = 8, general_at: int = 0, steps: int | None = None
+) -> AlgorithmSpec:
     """Logarithmic-time firing by pointer doubling; needs n = 2^k and all
     pointers at +1 when the general appears.  States: 0 soldier, 1 general,
     2 fire; every cell fires at t = 1 + log2(n).
@@ -404,7 +408,7 @@ def jump_v2_cycle(n: int) -> list[int]:
 
 
 def firing_jump_v2(
-    n: int,
+    n: int = 9,
     general_at: int | None = None,
     introduce_at: int = 1,
     start_p: int = 0,
@@ -505,22 +509,11 @@ def firing_jump_v2(
 # ---------------------------------------------------------------------------
 # catalog registration
 
-CATALOG["fire-wave"] = firing_wave
-CATALOG["fire-rings"] = (
-    lambda n=9, rings=((2, 4, 6), (1, 3, 5, 7)), generals=(6, 1), **kw: firing_rings(
-        n, rings, generals, **kw
-    )
-)
-CATALOG["fire-jump1"] = firing_jump_v1
-CATALOG["fire-jump2"] = firing_jump_v2
-
-from .algorithms import _DEFAULT_INSTANCES
-
-_DEFAULT_INSTANCES.update(
+CATALOG.update(
     {
-        "fire-wave": {"n": 16},
-        "fire-rings": {"n": 9},
-        "fire-jump1": {"n": 8},
-        "fire-jump2": {"n": 9},
+        "fire-wave": firing_wave,
+        "fire-rings": firing_rings,
+        "fire-jump1": firing_jump_v1,
+        "fire-jump2": firing_jump_v2,
     }
 )

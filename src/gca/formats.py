@@ -154,10 +154,21 @@ def _tuples(v: Any) -> Any:
 
 def snapshot_parse(text: str) -> tuple[Configuration, dict]:
     """Inverse of :func:`snapshot_dump`; returns (configuration, metadata)."""
-    lines = text.split("\n", 1)
-    if not lines or lines[0] != TRACE_HEADER:
+    header, _, body = text.partition("\n")
+    if header != TRACE_HEADER:
         raise PreconditionError(f"snapshot missing {TRACE_HEADER!r} header")
-    doc = json.loads(lines[1])
+    try:
+        doc = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"snapshot body is not valid JSON: {exc}") from None
+    for key in ("states", "topology"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+            raise PreconditionError(f"snapshot needs a {key!r} list")
+    for i, s in enumerate(doc["states"]):
+        if not (isinstance(s, dict) and "d" in s and "p" in s):
+            raise PreconditionError(f"snapshot state {i} needs 'd' and 'p'")
+    if not all(isinstance(v, int) for v in doc["topology"]):
+        raise PreconditionError("snapshot topology must list integer sides")
     states = [CellState(_tuples(s["d"]), _tuples(s["p"])) for s in doc["states"]]
     topo = Topology(tuple(doc["topology"]))
     cfg = Configuration(states, topo, doc.get("time", 0))

@@ -690,10 +690,37 @@ def test_catalog_contents():
         assert required in names
 
 
+# name -> (params, expected_steps) of each default instance
+DEFAULT_INSTANCES = {
+    "bitonic": ({"n": 16, "model": "general"}, 4),
+    "bitonic-basic": ({"n": 16, "model": "basic"}, 4),
+    "fft": ({"k": 3, "n": 8}, 3),
+    "fire-jump1": ({"n": 8, "general_at": 0}, 4),
+    "fire-jump2": ({"n": 9, "general_at": 4, "introduce_at": 1, "start_p": 0}, 12),
+    "fire-rings": (
+        {"n": 9, "rings": [[2, 4, 6], [1, 3, 5, 7]], "generals": [6, 1]}, 10
+    ),
+    "fire-wave": ({"n": 16, "general_at": 0}, 18),
+    "horn": ({"n": 16}, 4),
+    "max": ({"n": 16, "pointer_variant": "const"}, 15),
+    "reduce-and": ({"n": 16, "op": "and"}, 4),
+    "reduce-avg": ({"n": 16, "op": "avg"}, 4),
+    "reduce-max": ({"n": 16, "op": "max"}, 4),
+    "reduce-min": ({"n": 16, "op": "min"}, 4),
+    "reduce-or": ({"n": 16, "op": "or"}, 4),
+    "reduce-sum": ({"n": 16, "op": "sum"}, 4),
+    "xor-plain": ({"n": 7, "a": 2, "b": 3}, 10),
+    "xor1d-basic": ({"n": 31, "variant": "basic", "steps": 5}, 5),
+    "xor1d-general": ({"n": 31, "variant": "general", "steps": 5}, 5),
+    **{f"xor2d-{r}": ({"n": 8, "rule": r}, 8) for r in TORUS_RULES},
+}
+
+
 def test_default_instances_have_expected_steps():
-    for name in catalog_names():
+    assert sorted(DEFAULT_INSTANCES) == catalog_names()
+    for name, (params, steps) in DEFAULT_INSTANCES.items():
         spec = default_instance(name)
-        assert spec.expected_steps is not None, name
+        assert (spec.name, spec.params, spec.expected_steps) == (name, params, steps)
 
 
 def test_execute_honors_stop_override():

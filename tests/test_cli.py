@@ -1,10 +1,13 @@
 """Command-line behavior: artifacts, exit codes, config replay."""
 
+import inspect
 import subprocess
 import sys
 
 import pytest
 
+from gca import CATALOG, Steps, catalog_names, execute, formats
+from gca.algorithms import alg_max
 from gca.cli import OUT_DIR_ENV, RunConfig, main
 from gca.oracles import load_golden
 
@@ -96,6 +99,32 @@ def test_run_csv_format(outdir):
     assert lines[1] == "t,i,field,value"
 
 
+def test_run_variant_and_seed_reach_max(outdir):
+    rc = main(["run", "--alg", "max", "--n", "12", "--variant", "random",
+               "--seed", "4", "--format", "csv"])
+    assert rc == 0
+    spec = alg_max(12, pointer_variant="random", seed=4)
+    expected = formats.trace_csv(execute(spec, record_states=True).trace)
+    assert (outdir / "max.csv").read_bytes() == expected.encode()
+
+
+STEPS_ENTRIES = [
+    name for name in catalog_names()
+    if "steps" in inspect.signature(CATALOG[name]).parameters
+]
+
+
+@pytest.mark.parametrize("name", STEPS_ENTRIES)
+def test_entry_steps_equals_stop_rule(name):
+    # --steps is passed as the stop rule only; an entry's own steps
+    # parameter must build nothing else
+    for s in (0, 3):
+        own = execute(CATALOG[name](steps=s), record_states=True)
+        stop = execute(CATALOG[name](), Steps(s), record_states=True)
+        assert own.trace.snapshots == stop.trace.snapshots, (name, s)
+        assert (own.halt, own.steps) == (stop.halt, stop.steps)
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -120,6 +149,16 @@ def test_precondition_maps_to_2(outdir, capsys):
 def test_negative_steps_is_usage_error(outdir, capsys):
     assert main(["run", "--alg", "max", "--n", "8", "--steps", "-1"]) == 1
     assert capsys.readouterr().err == "error: --steps must be >= 0, got -1\n"
+
+
+def test_variant_rejected_without_pointer_variant(outdir, capsys):
+    assert main(["run", "--alg", "bitonic", "--variant", "basic"]) == 2
+    assert "has no variants" in capsys.readouterr().err
+
+
+def test_n_rejected_by_fft(outdir, capsys):
+    assert main(["run", "--alg", "fft", "--n", "16"]) == 2
+    assert "does not accept n" in capsys.readouterr().err
 
 
 def test_async_random_needs_seed(outdir, capsys):
@@ -182,6 +221,15 @@ def test_arch_unknown_alg(capsys):
     assert main(["arch", "--alg", "nope"]) == 1
 
 
+def test_arch_explicit_zero_is_kept(outdir, capsys):
+    assert main(["arch", "--seq", "--n", "8", "--k", "0", "--capacity"]) == 0
+    assert "k=0" in capsys.readouterr().out
+    assert main(["arch", "--dpa", "0"]) == 2
+    assert "need 1 <= p <= n" in capsys.readouterr().err
+    assert main(["arch", "--seq", "--k", "0"]) == 2
+    assert "needs k >= 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -212,6 +260,21 @@ def test_render_explicit_output(outdir, tmp_path):
     target = tmp_path / "picked.pgm"
     assert main(["render", str(snap), "--format", "pgm", "-o", str(target)]) == 0
     assert target.read_bytes().startswith(b"P5\n2 2\n")
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("{not json", "not valid JSON"),
+    ('{"topology": [2]}', "'states' list"),
+    ('{"states": 5, "topology": [2]}', "'states' list"),
+    ('{"states": [{"d": 0, "p": []}]}', "'topology' list"),
+    ('{"states": [{"d": 0, "p": []}], "topology": ["x"]}', "integer sides"),
+    ('{"topology": [2], "states": [{"d": 0, "p": []}, {"d": 1}]}', "state 1"),
+])
+def test_render_malformed_snapshot(outdir, tmp_path, capsys, body, problem):
+    snap = tmp_path / "bad.txt"
+    snap.write_text(formats.TRACE_HEADER + "\n" + body + "\n")
+    assert main(["render", str(snap)]) == 2
+    assert problem in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
