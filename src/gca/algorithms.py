@@ -14,9 +14,6 @@ Hot rules (max, reduce, Horn) read states by index (``q[0]``, ``q[1][0]``),
 and a pointer rule whose result depends on the stored pointer alone comes
 from :func:`_pointer_map`: one shared tuple per distinct pointer.  Rules that
 draw from an RNG (max's ``random``) or read more than that must not use it.
-Rule sets whose pointer rule reads the stored pointers alone set
-``pointers_only``, so the engine calls it once per run of cells holding one
-pointer tuple.
 """
 
 from __future__ import annotations
@@ -181,11 +178,7 @@ def alg_max(
         }[pointer_variant])
 
     ruleset = RuleSet(
-        variant="basic",
-        arms=1,
-        data_rule=data_rule,
-        pointer_rule=pointer_rule,
-        pointers_only=pointer_variant != "random",
+        variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
     topo = Topology.ring(n)
 
@@ -258,11 +251,7 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
 
     pointer_rule = _pointer_map(lambda p: (2 * p) % n)
     ruleset = RuleSet(
-        variant="basic",
-        arms=1,
-        data_rule=data_rule,
-        pointer_rule=pointer_rule,
-        pointers_only=True,
+        variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
     topo = Topology.ring(n)
     k = n.bit_length() - 1
@@ -321,11 +310,7 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
 
     pointer_rule = _pointer_map(lambda p: trunc_mod(2 * p, n))
     ruleset = RuleSet(
-        variant="basic",
-        arms=1,
-        data_rule=data_rule,
-        pointer_rule=pointer_rule,
-        pointers_only=True,
+        variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
     topo = Topology.ring(n)
     k = n.bit_length() - 1
@@ -653,7 +638,6 @@ def alg_xor2d(
         data_rule=_xor4_data_rule,
         pointer_rule=pointer_rule,
         address_modifier=modifier,
-        pointers_only=True,
     )
     return _xor_torus(
         f"xor2d-{rule}", n, grid, steps, {"n": n, "rule": rule}, ruleset, pointers,

@@ -29,11 +29,6 @@ cell i's effective addresses, and records the access edges when asked to.
 The common relative shapes (2-D with four arms, 1-D with two) are unrolled,
 the 1-D one-arm case is inlined in the loop, and every other shape resolves
 its arm vector with the loop form of :func:`resolve`.
-
-The loop allocates as few states as it can: a cell whose new data and new
-pointers are the very objects of the cell evaluated just before it shares
-that cell's new state, and a rule set that declares ``pointers_only`` has its
-pointer rule evaluated once per run of cells holding one pointer tuple.
 """
 
 from __future__ import annotations
@@ -308,12 +303,6 @@ class RuleSet:
 
     ``addressing`` applies to all arms; ``stencil`` lists static relative
     offsets whose generation-t states are provided as ``ctx.w``.
-
-    ``pointers_only`` declares that the pointer rule reads nothing of the
-    context but the cell's stored pointers, ``t`` and ``params``.  Phase 1
-    then calls it once per run of consecutive cells that hold one pointer
-    tuple object and shares its result among them.  A rule that draws from
-    an RNG or reads ``i``, the data or the neighbours must leave it False.
     """
 
     variant: str
@@ -325,7 +314,6 @@ class RuleSet:
     addressing: str = "relative"
     stencil: tuple = ()
     params: Any = None
-    pointers_only: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in ("basic", "general", "plain"):
@@ -474,11 +462,6 @@ def _phase1(
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
-    memo = ruleset.pointers_only
-    # the stored pointers the pointer rule last saw, and the last new state
-    # with its parts; a sentinel matches nothing a rule returns
-    held = last_d = last_pointers = last = object()
-    new_pointers = None
     tnew = tuple.__new__  # skips the namedtuple constructor wrapper
     cs = CellState
     i = -1
@@ -499,17 +482,7 @@ def _phase1(
                 ctx.neighbors = (states[(i + a) % n],)
             else:
                 ctx.neighbors = gather(i, eff)
-            d = f(ctx)
-            if not memo:
-                new_pointers = g(ctx)
-            elif q[1] is not held:
-                held = q[1]
-                new_pointers = g(ctx)
-            if d is not last_d or new_pointers is not last_pointers:
-                last_d = d
-                last_pointers = new_pointers
-                last = tnew(cs, (d, new_pointers))
-            out[i] = last
+            out[i] = tnew(cs, (f(ctx), g(ctx)))
     except GcaError:
         raise
     except Exception as exc:

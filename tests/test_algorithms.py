@@ -270,22 +270,6 @@ def test_pointer_doubling_shares_one_pointer_tuple(spec):
         assert len({id(q.pointers) for q in cfg.states}) == 1
 
 
-@pytest.mark.parametrize("name", [
-    name for name in catalog_names() if default_instance(name).ruleset.pointers_only
-])
-def test_pointers_only_flag_changes_no_trajectory(name):
-    spec = default_instance(name)
-    per_cell = dataclasses.replace(
-        spec, ruleset=dataclasses.replace(spec.ruleset, pointers_only=False)
-    )
-    got = execute(spec, record_states=True, record_edges=True)
-    want = execute(per_cell, record_states=True, record_edges=True)
-    assert [typed(c) for c in got.trace.snapshots] == [
-        typed(c) for c in want.trace.snapshots
-    ]
-    assert got.trace.edges == want.trace.edges
-
-
 # ---------------------------------------------------------------------------
 # bitonic merge
 

@@ -277,71 +277,6 @@ def test_plain_purity():
     assert by_reader[1] == by_reader[3]  # both cells hold 7
 
 
-def test_pointers_only_evaluates_once_per_run_of_one_tuple():
-    a, b = (1,), (2,)
-    cfg = make_configuration(list(range(6)), [a, a, a, b, b, a], Topology.ring(6))
-    calls = []
-
-    def pointer_rule(ctx):
-        calls.append(ctx.i)
-        return ((2 * ctx.cell.pointers[0]) % 6,)
-
-    results = {}
-    for flag, want_calls in ((False, [0, 1, 2, 3, 4, 5]), (True, [0, 3, 5])):
-        rs = RuleSet(
-            variant="basic", arms=1,
-            data_rule=lambda ctx: ctx.cell.data + ctx.neighbors[0].data,
-            pointer_rule=pointer_rule,
-            pointers_only=flag,
-        )
-        calls.clear()
-        results[flag] = step_sync(cfg, rs).states
-        assert calls == want_calls
-        calls.clear()
-        async_states = step_async(cfg, rs).states
-        assert calls == want_calls
-        results[flag, "async"] = async_states
-    assert results[True] == results[False]
-    assert results[True, "async"] == results[False, "async"]
-    shared = results[True]
-    assert shared[0].pointers is shared[1].pointers is shared[2].pointers
-
-
-def test_equal_new_states_of_neighbouring_cells_share_one_object():
-    cfg = make_configuration([0, 5, 0, 0, 7, 7], (1,), Topology.ring(6))
-    rs = RuleSet(
-        variant="basic", arms=1,
-        data_rule=lambda ctx: ctx.cell.data > 3,
-        pointer_rule=keep_pointers,
-    )
-    s = step_sync(cfg, rs).states
-    assert [q.data for q in s] == [False, True, False, False, True, True]
-    assert all(type(q) is CellState for q in s)
-    assert s[2] is s[3] and s[4] is s[5]
-    assert s[0] is not s[1] and s[1] is not s[2]
-    # equal values of different types are different new data
-    values = [1, True, 1.0, 1]
-    rs = RuleSet(
-        variant="basic", arms=1,
-        data_rule=lambda ctx: values[ctx.i],
-        pointer_rule=keep_pointers,
-    )
-    s = step_sync(make_configuration([0] * 4, (1,), Topology.ring(4)), rs).states
-    assert [type(q.data) for q in s] == [int, bool, float, int]
-
-
-def test_none_parts_still_make_a_state():
-    cfg = make_configuration([1, 2], (1,), Topology.ring(2))
-    rs = RuleSet(
-        variant="basic", arms=1,
-        data_rule=lambda ctx: None,
-        pointer_rule=lambda ctx: None,
-    )
-    s = step_sync(cfg, rs).states
-    assert s == [CellState(None, None)] * 2
-    assert all(type(q) is CellState for q in s)
-
-
 def test_fixed_local_stencil():
     cfg = make_configuration([10, 20, 30, 40], (2,), Topology.ring(4))
     rs = RuleSet(
