@@ -882,7 +882,16 @@ def fft_result(cfg: Configuration) -> list[complex]:
 # catalog
 
 # Family entries look their builder up by name when called, so a wrapper
-# installed on the module attribute sees every call.
+# installed on the module attribute sees every call.  The member of a family
+# is fixed in the entry's body, so its parameters are only the options it takes.
+def _reduce_entry(op: str) -> Callable[..., AlgorithmSpec]:
+    return lambda n=16, data=None: alg_reduce(n, op, data)
+
+
+def _xor2d_entry(rule: str) -> Callable[..., AlgorithmSpec]:
+    return lambda n=8, grid=None, steps=8: alg_xor2d(n, rule, grid, steps)
+
+
 CATALOG: dict[str, Callable[..., AlgorithmSpec]] = {
     "max": alg_max,
     "horn": alg_prefix_sum_horn,
@@ -890,23 +899,15 @@ CATALOG: dict[str, Callable[..., AlgorithmSpec]] = {
     "xor-plain": lambda n=7, a=2, b=3, grid=None, steps=10: alg_xor_plain(
         n, a, b, grid, steps
     ),
+    "bitonic": lambda n=16, data=None: alg_bitonic_merge(n, data, "general"),
+    "bitonic-basic": lambda n=16, data=None: alg_bitonic_merge(n, data, "basic"),
+    "xor1d-basic": lambda n=31, steps=5: alg_xor1d("basic", n, steps),
+    "xor1d-general": lambda n=31, steps=5: alg_xor1d("general", n, steps),
 }
 for _op in ("sum", "max", "min", "and", "or", "avg"):
-    CATALOG[f"reduce-{_op}"] = lambda n=16, data=None, *, _op=_op: alg_reduce(
-        n, _op, data
-    )
-for _name, _model in (("bitonic", "general"), ("bitonic-basic", "basic")):
-    CATALOG[_name] = lambda n=16, data=None, *, _m=_model: alg_bitonic_merge(
-        n, data, _m
-    )
-for _variant in ("basic", "general"):
-    CATALOG[f"xor1d-{_variant}"] = lambda n=31, steps=5, *, _v=_variant: alg_xor1d(
-        _v, n, steps
-    )
+    CATALOG[f"reduce-{_op}"] = _reduce_entry(_op)
 for _rule in _TORUS_RULES:
-    CATALOG[f"xor2d-{_rule}"] = lambda n=8, grid=None, steps=8, *, _r=_rule: alg_xor2d(
-        n, _r, grid, steps
-    )
+    CATALOG[f"xor2d-{_rule}"] = _xor2d_entry(_rule)
 
 
 def default_instance(name: str) -> AlgorithmSpec:

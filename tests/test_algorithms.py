@@ -1,6 +1,7 @@
 """Catalog algorithms against their oracles."""
 
 import dataclasses
+import inspect
 import random
 from collections import Counter, defaultdict, deque
 
@@ -721,6 +722,15 @@ def test_default_instances_have_expected_steps():
     for name, (params, steps) in DEFAULT_INSTANCES.items():
         spec = default_instance(name)
         assert (spec.name, spec.params, spec.expected_steps) == (name, params, steps)
+
+
+def test_family_entries_take_only_their_options():
+    # the family member is fixed by the entry, not an overridable parameter
+    for name in ("reduce-sum", "bitonic", "bitonic-basic", "xor1d-basic", "xor2d-r1"):
+        assert all(not p.startswith("_") for p in inspect.signature(CATALOG[name]).parameters)
+    with pytest.raises(TypeError):
+        CATALOG["reduce-sum"](_op="max")
+    assert CATALOG["reduce-sum"](4, [1, 2, 3, 4]).params["op"] == "sum"
 
 
 def test_execute_honors_stop_override():
