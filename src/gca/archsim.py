@@ -36,13 +36,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algorithms import AlgorithmSpec
-from .core import (
-    Configuration,
-    GcaError,
-    PreconditionError,
-    apply_events,
-    step_sync,
-)
+from .core import Configuration, GcaError, PreconditionError, Steps, run
+from .core import step_sync  # re-exported: bench/tracer.py patches archsim.step_sync
 
 STAGES = ("Fetch", "Get", "Exe", "Write")
 
@@ -279,8 +274,9 @@ def run_on_arch(
     arch: ArchParams,
     generations: int | None = None,
 ) -> tuple[Configuration, int]:
-    """Run an algorithm on the cycle model: the functional result is the
-    engine's synchronous result, the cycle count comes from the schedule.
+    """Run an algorithm on the cycle model: the functional result is
+    :func:`~gca.core.run`'s synchronous result with the algorithm's events,
+    the cycle count comes from the schedule.
 
     ``generations`` defaults to the algorithm's expected step count.
     """
@@ -295,18 +291,9 @@ def run_on_arch(
             f"algorithm {spec.name} has no fixed generation count; "
             "pass generations explicitly"
         )
-    cfg = spec.initial()
-    if arch.n != cfg.n:
+    if arch.n != spec.topology.n:
         raise PreconditionError(
-            f"architecture sized for n={arch.n}, algorithm uses n={cfg.n}"
+            f"architecture sized for n={arch.n}, algorithm uses n={spec.topology.n}"
         )
-    events = dict(spec.events)
-    apply_events(cfg, events)
-    if G == 0:
-        return cfg, 0
-    order = range(cfg.n)  # slot z, lane j evaluates cell z*p + j
-    for _ in range(G):
-        cfg = step_sync(cfg, spec.ruleset, phase1_order=order)
-        apply_events(cfg, events)
-    sched = _simulate(arch, G)
-    return cfg, sched.total_cycles
+    cycles = _simulate(arch, G).total_cycles
+    return run(spec.initial(), spec.ruleset, Steps(G), events=spec.events).config, cycles

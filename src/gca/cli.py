@@ -175,6 +175,9 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.steps is not None and cfg.steps < 0:
         print(f"error: --steps must be >= 0, got {cfg.steps}", file=sys.stderr)
         return 1
+    if cfg.steps is not None and cfg.stop is not None:
+        print("error: --stop and --steps are mutually exclusive", file=sys.stderr)
+        return 1
     mode, order, seed = _parse_mode(cfg)
     spec = _build_spec(cfg)
     if cfg.stop == "fixed-point":

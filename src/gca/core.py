@@ -53,7 +53,6 @@ __all__ = [
     "Steps",
     "Topology",
     "Trace",
-    "apply_events",
     "default_step_limit",
     "gather_neighbors",
     "make_configuration",
@@ -275,18 +274,17 @@ class RuleContext:
     """Per-cell view handed to rules; one instance is reused across cells.
 
     Fields: ``i`` own index, ``cell`` own state, ``neighbors`` gathered arm
-    states (generation-t values), ``t`` current generation, ``w`` static
-    stencil states, ``params`` the rule set's parameter block.
+    states (generation-t values), ``t`` current generation, ``params`` the
+    rule set's parameter block.
     """
 
-    __slots__ = ("i", "cell", "neighbors", "t", "w", "params")
+    __slots__ = ("i", "cell", "neighbors", "t", "params")
 
     def __init__(self) -> None:
         self.i = 0
         self.cell: CellState | None = None
         self.neighbors: tuple = ()
         self.t = 0
-        self.w: tuple = ()
         self.params: Any = None
 
 
@@ -301,8 +299,8 @@ class RuleSet:
     the start of a step (called with ``ctx.neighbors`` unset), and the plain
     variant replaces both with ``pointer_function(i, q)``.
 
-    ``addressing`` applies to all arms; ``stencil`` lists static relative
-    offsets whose generation-t states are provided as ``ctx.w``.
+    ``addressing`` applies to all arms.  A fixed local neighbour is an arm
+    whose pointer never changes, so every read goes through the access plan.
     """
 
     variant: str
@@ -312,7 +310,6 @@ class RuleSet:
     address_modifier: Callable[[RuleContext], tuple] | None = None
     pointer_function: Callable[[int, CellState], tuple] | None = None
     addressing: str = "relative"
-    stencil: tuple = ()
     params: Any = None
 
     def __post_init__(self) -> None:
@@ -416,20 +413,6 @@ def _no_pointers(ctx: RuleContext) -> tuple:
     return ()
 
 
-def _with_stencil(
-    data_rule: Callable[[RuleContext], Any], topology: Topology, states: list, stencil: tuple
-) -> Callable[[RuleContext], Any]:
-    """``data_rule`` preceded by setting ``ctx.w`` to the stencil's states;
-    both rules read ``ctx.w``, and the data rule runs first."""
-    targets = _targets(topology, "relative")
-
-    def rule(ctx):
-        ctx.w = tuple([states[j] for j in targets(ctx.i, stencil)])
-        return data_rule(ctx)
-
-    return rule
-
-
 def _phase1(
     ruleset: RuleSet,
     topology: Topology,
@@ -456,9 +439,6 @@ def _phase1(
     pf = ruleset.pointer_function
     arms = ruleset.arms
     gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
-    stencil = ruleset.stencil
-    if stencil:
-        f = _with_stencil(f, topology, states, stencil)
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -503,7 +483,6 @@ def gather_neighbors(
         ruleset,
         data_rule=lambda ctx: seen.append(ctx.neighbors),
         pointer_rule=lambda ctx: (),
-        stencil=(),
     )
     _phase1(probe, cfg.topology, cfg.time, cfg.states, {}, (i,), edges)
     return seen[0], [j for _, j in edges]
@@ -627,7 +606,7 @@ class RunResult:
     trace: Trace | None = None
 
 
-def apply_events(cfg: Configuration, events: dict) -> None:
+def _apply_events(cfg: Configuration, events: dict) -> None:
     """Apply the event scheduled for generation ``cfg.time``, if any, in place;
     ``events`` maps a generation to a mutator of the configuration."""
     fn = events.get(cfg.time)
@@ -651,8 +630,8 @@ def run(
     """Drive an automaton until its stop rule fires.
 
     ``events`` lists ``(time, mutator)`` pairs: external interventions applied
-    by :func:`apply_events` to generation 0 and to each committed generation,
-    before it is recorded or tested by the stop rule.  For the random async
+    in place to generation 0 and to each committed generation, before it is
+    recorded or tested by the stop rule.  For the random async
     order, ``seed`` seeds one stream that every sweep draws its order from.
     Open-ended stop rules (fixed point, predicate) are guarded by
     ``step_limit`` (default ``10*n + 64``); exceeding it raises
@@ -669,7 +648,7 @@ def run(
     current = cfg
     if schedule:
         current = cfg.copy()
-        apply_events(current, schedule)
+        _apply_events(current, schedule)
     if order == "random" and seed is not None:
         seed = _random.Random(seed)
     trace = Trace() if (record_states or record_edges) else None
@@ -693,7 +672,7 @@ def run(
             nxt = step_async(current, ruleset, order=order, seed=seed)
         steps += 1
         if schedule:
-            apply_events(nxt, schedule)
+            _apply_events(nxt, schedule)
         if trace is not None:
             if record_edges:
                 trace.edges.append(edge_sink)

@@ -40,12 +40,19 @@ class FiringState(IntEnum):
     F = 3
 
 
-def _first_all(snapshots, value, cells=None) -> int | None:
+def _firing(snapshots, value, cells=None) -> tuple[list[int], int | None]:
+    """The generations in which all of ``cells`` (default: every cell) hold
+    ``value``, and the first generation in which only some of them do."""
+    together: list[int] = []
+    partial = None
     for t, cfg in enumerate(snapshots):
         idx = range(cfg.n) if cells is None else cells
-        if all(cfg.states[i].data == value for i in idx):
-            return t
-    return None
+        fired = sum(1 for i in idx if cfg.states[i].data == value)
+        if fired == len(idx):
+            together.append(t)
+        elif fired and partial is None:
+            partial = t
+    return together, partial
 
 
 def trace_rows(snapshots) -> list[str]:
@@ -116,26 +123,26 @@ def firing_wave(
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
-        fire = _first_all(snaps, F)
-        if fire != n + 1:
-            return f"expected simultaneous fire at t={n+1}, got {fire}"
-        for t, cfg in enumerate(snaps):
-            fired = sum(1 for q in cfg.states if q.data == F)
-            if fired not in (0, n):
-                return f"partial firing at t={t}: {fired}/{n} cells"
+        together, partial = _firing(snaps, F)
+        fire = n + 1
+        if together[:1] != [fire]:
+            return f"expected simultaneous fire at t={fire}, got {together}"
+        if partial is not None:
+            return f"partial firing at t={partial}"
         if len(snaps) > fire + 1:
             after = snaps[fire + 1]
             if any(q != CellState(S, (-1,)) for q in after.states):
                 return "no quiescent reset after firing"
         return None
 
+    horizon = steps if steps is not None else n + 2
     return AlgorithmSpec(
         name="fire-wave",
         ruleset=ruleset,
         topology=topo,
         initial=initial,
-        stop=Steps(steps if steps is not None else n + 2),
-        expected_steps=steps if steps is not None else n + 2,
+        stop=Steps(horizon),
+        expected_steps=horizon,
         params={"n": n, "general_at": general_at},
         verify=verify,
     )
@@ -272,18 +279,9 @@ def firing_rings(
         horizon = len(snaps) - 1
         for ring, L in zip(ring_list, lengths):
             want = [t for t in range(L + 1, horizon + 1, L)]
-            got = [
-                t
-                for t, cfg in enumerate(snaps)
-                if all(cfg.states[c].data == F for c in ring)
-            ]
-            partial = [
-                t
-                for t, cfg in enumerate(snaps)
-                if 0 < sum(1 for c in ring if cfg.states[c].data == F) < L
-            ]
-            if partial:
-                return f"partial firing of ring {ring} at t={partial[0]}"
+            got, partial = _firing(snaps, F, ring)
+            if partial is not None:
+                return f"partial firing of ring {ring} at t={partial}"
             if got != want:
                 return f"ring {ring} fired at {got}, expected {want}"
         return None
@@ -351,13 +349,11 @@ def firing_jump_v1(
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
-        fire = _first_all(snaps, 2)
-        if fire != k + 1:
-            return f"expected fire at t={k + 1}, got {fire}"
-        for t, cfg in enumerate(snaps):
-            fired = sum(1 for q in cfg.states if q.data == 2)
-            if fired not in (0, n):
-                return f"partial firing at t={t}"
+        together, partial = _firing(snaps, 2)
+        if together[:1] != [k + 1]:
+            return f"expected fire at t={k + 1}, got {together}"
+        if partial is not None:
+            return f"partial firing at t={partial}"
         if n == 8 and general_at == 0:
             from .oracles import compare_golden, load_golden
 
@@ -365,13 +361,14 @@ def firing_jump_v1(
             return compare_golden(trace_rows(snaps)[: len(golden.rows)], golden)
         return None
 
+    horizon = steps if steps is not None else k + 1
     return AlgorithmSpec(
         name="fire-jump1",
         ruleset=ruleset,
         topology=topo,
         initial=initial,
-        stop=Steps(steps if steps is not None else k + 1),
-        expected_steps=steps if steps is not None else k + 1,
+        stop=Steps(horizon),
+        expected_steps=horizon,
         params={"n": n, "general_at": general_at},
         verify=verify,
     )
@@ -468,19 +465,17 @@ def firing_jump_v2(
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
-        fire = _first_all(snaps, 3)
-        if fire is None:
+        together, partial = _firing(snaps, 3)
+        if not together:
             return f"no firing within {len(snaps) - 1} generations"
-        delta = fire - introduce_at
+        delta = together[0] - introduce_at
         if not (2 + logN <= delta <= 2 + 2 * logN):
             return (
                 f"fire {delta} generations after introduction, outside "
                 f"[{2 + logN}, {2 + 2 * logN}]"
             )
-        for t, cfg in enumerate(snaps):
-            fired = sum(1 for q in cfg.states if q.data == 3)
-            if fired not in (0, n):
-                return f"partial firing at t={t}"
+        if partial is not None:
+            return f"partial firing at t={partial}"
         if (n, general_at, introduce_at) == (9, 4, 1) and start_p in (0, -1):
             from .oracles import compare_golden, load_golden
 

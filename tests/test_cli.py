@@ -151,6 +151,21 @@ def test_negative_steps_is_usage_error(outdir, capsys):
     assert capsys.readouterr().err == "error: --steps must be >= 0, got -1\n"
 
 
+def test_stop_and_steps_are_exclusive(outdir, tmp_path, capsys):
+    want = "error: --stop and --steps are mutually exclusive\n"
+    both = ["--alg", "fire-jump2", "--stop", "fixed-point", "--steps", "5"]
+    assert main(["run", *both]) == 1
+    assert capsys.readouterr().err == want
+    cfg_file = tmp_path / "both.txt"
+    cfg_file.write_text(RunConfig(alg="max", n=8, steps=3, stop="fixed-point").to_text())
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == want
+    cfg_file.write_text(RunConfig(alg="max", n=8, stop="fixed-point").to_text())
+    assert main(["run", "--config", str(cfg_file), "--steps", "2"]) == 1
+    assert capsys.readouterr().err == want
+    assert [p.name for p in outdir.iterdir()] == ["both.txt"]
+
+
 def test_variant_rejected_without_pointer_variant(outdir, capsys):
     assert main(["run", "--alg", "bitonic", "--variant", "basic"]) == 2
     assert "has no variants" in capsys.readouterr().err

@@ -278,15 +278,20 @@ def test_plain_purity():
 
 
 def test_fixed_local_stencil():
-    cfg = make_configuration([10, 20, 30, 40], (2,), Topology.ring(4))
+    """A fixed local neighbourhood is two arms whose pointers never change;
+    its reads are access edges like any other."""
+    cfg = make_configuration([10, 20, 30, 40], (-1, 1), Topology.ring(4))
     rs = RuleSet(
-        variant="basic", arms=1,
-        data_rule=lambda ctx: ctx.w[0].data + ctx.w[1].data,
+        variant="basic", arms=2,
+        data_rule=lambda ctx: ctx.neighbors[0].data + ctx.neighbors[1].data,
         pointer_rule=keep_pointers,
-        stencil=(-1, 1),
     )
-    nxt = step_sync(cfg, rs)
+    edges = []
+    nxt = step_sync(cfg, rs, edge_sink=edges)
     assert nxt.states[0].data == 40 + 20
+    assert nxt.states[0].pointers == (-1, 1)
+    assert edges[:2] == [(0, 3), (0, 1)]
+    assert len(edges) == 2 * 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gca import PreconditionError, execute
+from gca import CellState, PreconditionError, execute
 from gca.firing import (
     FiringState,
     firing_jump_v1,
@@ -264,3 +264,26 @@ def test_jump2_event_is_applied_at_introduce_time():
     snaps = res.trace.snapshots
     assert all(q.data == S for q in snaps[2].states)
     assert snaps[3].states[4].data == G
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: firing_wave(8), F),
+        (lambda: firing_jump_v1(8), 2),
+        (lambda: firing_jump_v2(9), 3),
+        (lambda: firing_rings(9, RINGS9, GENERALS9), F),
+    ],
+    ids=["wave", "jump1", "jump2", "rings"],
+)
+def test_verify_rejects_one_early_fire(build, value):
+    """A run that fires together on time is still rejected when one cell
+    reached the firing state on its own earlier."""
+    spec = build()
+    res = checked(spec)
+    early = res.trace.snapshots[1]
+    early.states[2] = CellState(value, early.states[2].pointers)  # cell 2 is in ring 0
+    assert "partial firing" in spec.verify(spec, res)

@@ -1,6 +1,6 @@
 """Property tests of the phase-1 access plan against a reference built from
 ``resolve``: every variant, ring and torus, relative and absolute addressing,
-one to four arms, with and without a stencil."""
+one to four arms."""
 
 import random
 from dataclasses import replace
@@ -30,12 +30,10 @@ def shift(a, by: int):
 
 
 def data_rule(ctx):
-    # arm order, stencil order, own index and time all change the result
+    # arm order, own index and time all change the result
     acc = 3 * ctx.cell.data + 7 * ctx.i + ctx.t
     for k, q in enumerate(ctx.neighbors):
         acc += (k + 2) * (k + 1) * q.data
-    for k, q in enumerate(ctx.w):
-        acc += (k + 11) * q.data
     return acc % 101
 
 
@@ -73,7 +71,6 @@ def automata(draw):
         topo = Topology.ring(draw(st.integers(1, 12)))
         address = st.integers(-25, 25)
     n = topo.n
-    stencil = tuple(draw(st.lists(address, max_size=3)))
     data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
     pointers = None
     if variant != "plain":
@@ -91,7 +88,6 @@ def automata(draw):
         arms=arms,
         data_rule=data_rule,
         addressing=addressing,
-        stencil=stencil,
         params={"n": n},
         **kwargs,
     )
@@ -121,9 +117,6 @@ def reference_targets(cfg, rs, states, i):
 def reference_cell(cfg, rs, states, i):
     ctx = context(rs, states, i, cfg.time)
     ctx.neighbors = tuple(states[j] for j in reference_targets(cfg, rs, states, i))
-    ctx.w = tuple(
-        states[resolve(cfg.topology, i, Address("relative", off))] for off in rs.stencil
-    )
     pointers = () if rs.variant == "plain" else rs.pointer_rule(ctx)
     return CellState(rs.data_rule(ctx), pointers)
 
