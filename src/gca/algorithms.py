@@ -10,10 +10,18 @@ Catalog entries are registered in :data:`CATALOG` by name; the firing module
 adds its own entries on import.  An entry's parameters, with their defaults,
 are the options it takes and its default instance.
 
-Hot rules (max, reduce, Horn) read states by index (``q[0]``, ``q[1][0]``),
-and a pointer rule whose result depends on the stored pointer alone comes
-from :func:`_pointer_map`: one shared tuple per distinct pointer.  Rules that
-draw from an RNG (max's ``random``) or read more than that must not use it.
+Hot rules read states by index (``q[0]`` for ``.data``, ``q[1][0]`` for
+``.pointers[0]``): max, reduce and Horn, every XOR rule (data, pointer and
+address modifier, 1-D and torus) and xor-plain's pointer function.
+
+A rule may memoise its result, sharing one tuple between cells, when the
+result depends on the stored pointer, t's parity or the cell's colour alone;
+never on an RNG.  :func:`_pointer_map` is the one memo by stored pointer
+(reduce, Horn, max's inc/double/half, the r1-r8r pointer rules and
+modifiers).  The tB-tE modifiers pick one of two prebuilt tuples by
+``t & 1``, the sF-sH modifiers by the colour ``(x + y) & 1``, and xor-plain
+by the cell's bit.  Max's ``random`` variant draws per cell and memoises
+nothing.
 """
 
 from __future__ import annotations
@@ -56,20 +64,20 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _pointer_map(step: Callable[[int], int]) -> Callable[[Any], tuple]:
-    """One-arm pointer rule ``p -> (step(p),)`` for a new pointer that depends
-    on the stored pointer ``p`` alone.  Results are memoised by ``p``, so all
-    cells holding one pointer share one result tuple."""
+def _pointer_map(make: Callable[[Any], tuple]) -> Callable[[Any], tuple]:
+    """Rule ``ctx -> make(p)`` for a result tuple (new pointers or effective
+    addresses) that depends on the first stored pointer ``p`` alone.  Results
+    are memoised by ``p``, so all cells holding one pointer share one tuple."""
     memo: dict = {}
 
-    def pointer_rule(ctx):
+    def rule(ctx):
         p = ctx.cell[1][0]
         r = memo.get(p)
         if r is None:
-            r = memo[p] = (step(p),)
+            r = memo[p] = make(p)
         return r
 
-    return pointer_rule
+    return rule
 
 
 @dataclass(frozen=True)
@@ -172,9 +180,9 @@ def alg_max(
             return (rng.randrange(n),)
     else:
         pointer_rule = _pointer_map({
-            "inc": lambda p: (p + 1) % n,
-            "double": lambda p: (2 * p) % n,
-            "half": lambda p: n // 2,
+            "inc": lambda p: ((p + 1) % n,),
+            "double": lambda p: ((2 * p) % n,),
+            "half": lambda p: (n // 2,),
         }[pointer_variant])
 
     ruleset = RuleSet(
@@ -249,7 +257,7 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
             return fn(q[0], ctx.neighbors[0][0])
         return q[0]
 
-    pointer_rule = _pointer_map(lambda p: (2 * p) % n)
+    pointer_rule = _pointer_map(lambda p: ((2 * p) % n,))
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
@@ -308,7 +316,7 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
             return q[0] + ctx.neighbors[0][0]
         return q[0]
 
-    pointer_rule = _pointer_map(lambda p: trunc_mod(2 * p, n))
+    pointer_rule = _pointer_map(lambda p: (trunc_mod(2 * p, n),))
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
@@ -462,15 +470,19 @@ def cross_grid(w: int, h: int) -> list[list[int]]:
 
 def _xor4_data_rule(ctx):
     nb = ctx.neighbors
-    return (nb[0].data + nb[1].data + nb[2].data + nb[3].data) & 1
+    return (nb[0][0] + nb[1][0] + nb[2][0] + nb[3][0]) & 1
 
 
 def _keep_pointers(ctx):
-    return ctx.cell.pointers
+    return ctx.cell[1]
 
 
-def _nesw(p: int) -> tuple:
-    return ((0, -p), (p, 0), (0, p), (-p, 0))
+def _nesw(px: int, py: int | None = None) -> tuple:
+    """North, east, south and west offsets at distance ``px`` along x and
+    ``py`` (default ``px``) along y."""
+    if py is None:
+        py = px
+    return ((0, -py), (px, 0), (0, py), (-px, 0))
 
 
 def _xor_torus(
@@ -595,40 +607,49 @@ def alg_xor2d(
     - checkerboard, ``sF``..``sH``: cells with even x+y read orthogonally,
       the others diagonally, all at a fixed distance 1, 2 or 3.
     """
+    # The modifiers share one effective-address tuple per stored pointer, t
+    # parity or cell colour.  The verify references (``arms(k)``) build their
+    # own tuples from the helpers, once per generation or cell, not per read.
     if rule in _XOR2D_RULES:
-        def modifier(ctx):
-            return _nesw(ctx.cell[1][0])
-
-        pointer_rule = _pointer_map(lambda p: xor2d_pointer_step(rule, p, n))
+        modifier = _pointer_map(_nesw)
+        pointer_rule = _pointer_map(lambda p: (xor2d_pointer_step(rule, p, n),))
         pointers = (1,)
 
         def arms(k: int):
-            seq = xor2d_pointer_sequence(rule, n, k)
-            return lambda t, x, y: _nesw(seq[t])
+            offs = [_nesw(p) for p in xor2d_pointer_sequence(rule, n, k)]
+            return lambda t, x, y: offs[t]
     elif rule in _TIMEDEP_RULES:
+        even, odd = (_nesw(*timedep_arm_lengths(rule, t)) for t in (0, 1))
+
         def modifier(ctx):
-            px, py = timedep_arm_lengths(rule, ctx.t)
-            return ((0, -py), (px, 0), (0, py), (-px, 0))
+            return odd if ctx.t & 1 else even
 
         pointer_rule = _keep_pointers
         pointers = (1,)
 
         def arms(k: int):
-            def offsets(t: int, x: int, y: int):
-                px, py = timedep_arm_lengths(rule, t)
-                return ((0, -py), (px, 0), (0, py), (-px, 0))
-
-            return offsets
+            offs = [_nesw(*timedep_arm_lengths(rule, t)) for t in range(k)]
+            return lambda t, x, y: offs[t]
     elif rule in _SPACEDEP_RULES:
+        even, odd = spacedep_offsets(rule, 0, 0), spacedep_offsets(rule, 1, 0)
+
         def modifier(ctx):
             i = ctx.i
-            return spacedep_offsets(rule, i % n, i // n)
+            return odd if (i % n + i // n) & 1 else even
 
         pointer_rule = _keep_pointers
         pointers = (_SPACEDEP_RULES[rule],)
 
         def arms(k: int):
-            return lambda t, x, y: spacedep_offsets(rule, x, y)
+            # one call per cell; cells with equal offsets share one tuple
+            distinct: dict = {}
+
+            def at(x: int, y: int) -> tuple:
+                o = spacedep_offsets(rule, x, y)
+                return distinct.setdefault(o, o)
+
+            offs = [[at(x, y) for x in range(n)] for y in range(n)]
+            return lambda t, x, y: offs[y][x]
     else:
         raise PreconditionError(f"unknown xor2d rule {rule!r}")
 
@@ -660,9 +681,10 @@ def alg_xor_plain(
             f"arm lengths must satisfy 1 <= A,B <= n/2, got A={a} B={b} n={n}"
         )
 
+    arms_a, arms_b = _nesw(a), _nesw(b)
+
     def pointer_function(i: int, q: CellState) -> tuple:
-        p = a if q.data == 0 else b
-        return ((0, -p), (p, 0), (0, p), (-p, 0))
+        return arms_a if q[0] == 0 else arms_b
 
     ruleset = RuleSet(
         variant="plain",
@@ -696,7 +718,7 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
 
     def data_rule(ctx):
         nb = ctx.neighbors
-        return (nb[0].data + nb[1].data) & 1
+        return (nb[0][0] + nb[1][0]) & 1
 
     # sign of the stored second arm: basic stores -a, general stores a and
     # negates it at access time
@@ -704,7 +726,7 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
     init_pointers = (1, sign)
 
     def pointer_rule(ctx):
-        p1, p2 = ctx.cell.pointers
+        p1, p2 = ctx.cell[1]
         a = trunc_mod(2 * p1, n)
         if a == 0:
             a = 1
@@ -719,7 +741,7 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         )
     else:
         def modifier(ctx):
-            p1, p2 = ctx.cell.pointers
+            p1, p2 = ctx.cell[1]
             return (p1, -p2)
 
         ruleset = RuleSet(

@@ -35,6 +35,10 @@ OUT_DIR_ENV = "GCA_OUT_DIR"
 
 _INT_FIELDS = {"n", "w", "h", "steps", "seed"}
 _BOOL_FIELDS = {"states", "pointers", "edges"}
+STOP_CHOICES = ("fixed-point",)
+FORMAT_CHOICES = ("text", "pgm", "csv", "none")
+# the keys whose values the `run` flags restrict, with the same choices
+_CHOICE_FIELDS = {"stop": STOP_CHOICES, "format": FORMAT_CHOICES}
 
 
 @dataclass
@@ -90,6 +94,11 @@ class RunConfig:
                 if value not in ("true", "false"):
                     raise ValueError(f"line {ln}: {key} must be true or false")
                 parsed = value == "true"
+            elif key in _CHOICE_FIELDS and value not in _CHOICE_FIELDS[key]:
+                raise ValueError(
+                    f"line {ln}: {key} must be one of "
+                    f"{', '.join(_CHOICE_FIELDS[key])}, got {value!r}"
+                )
             else:
                 parsed = value
             if parsed is None and key in ("mode", "format"):
@@ -352,10 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", help="pointer variant (max only)")
     run_p.add_argument("--mode", help="sync | async:order[:seed]")
     run_p.add_argument("--steps", type=int, help="generations to run")
-    run_p.add_argument("--stop", choices=["fixed-point"], help="halt condition")
-    run_p.add_argument(
-        "--format", choices=["text", "pgm", "csv", "none"], help="artifact format"
-    )
+    run_p.add_argument("--stop", choices=STOP_CHOICES, help="halt condition")
+    run_p.add_argument("--format", choices=FORMAT_CHOICES, help="artifact format")
     run_p.add_argument("--seed", type=int, help="seed for any randomness")
     run_p.add_argument(
         "--pointers", action="store_true", default=None,

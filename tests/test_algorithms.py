@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gca import (
     CATALOG,
     PreconditionError,
+    RuleContext,
     RuleSet,
     Steps,
     catalog_names,
@@ -36,6 +37,7 @@ from gca.algorithms import (
     timedep_arm_lengths,
     trunc_mod,
     xor2d_pointer_sequence,
+    xor2d_pointer_step,
 )
 from gca.oracles import (
     bit_reversed_indices,
@@ -591,6 +593,92 @@ def test_xor_plain_guards():
         alg_xor_plain(64, a=40, b=3)
     with pytest.raises(PreconditionError):
         alg_xor_plain(64, a=9, b=0)
+
+
+# ---------------------------------------------------------------------------
+# the torus rules' shared tuples against the per-cell forms they replaced
+
+def ref_torus_rules(rule, n, a, b):
+    """``(addresses, pointer_rule)``: the per-cell constructions the torus
+    rules had before they shared tuples.  ``addresses`` is the modifier, or
+    for xor-plain (``rule == "plain"``) the pointer function."""
+    def nesw(px, py):
+        return ((0, -py), (px, 0), (0, py), (-px, 0))
+
+    def keep(ctx):
+        return ctx.cell.pointers
+
+    if rule == "plain":
+        def pointer_function(i, q):
+            p = a if q.data == 0 else b
+            return nesw(p, p)
+
+        return pointer_function, None
+    if rule.startswith("r"):
+        def modifier(ctx):
+            p = ctx.cell.pointers[0]
+            return nesw(p, p)
+
+        def pointer_rule(ctx):
+            return (xor2d_pointer_step(rule, ctx.cell.pointers[0], n),)
+
+        return modifier, pointer_rule
+    if rule.startswith("t"):
+        return lambda ctx: nesw(*timedep_arm_lengths(rule, ctx.t)), keep
+    return lambda ctx: spacedep_offsets(rule, ctx.i % n, ctx.i // n), keep
+
+
+def shared_key(rule, n, t, i, q):
+    """What the rule's result may depend on: the stored pointer, t's parity,
+    the cell's colour or (xor-plain) its bit."""
+    if rule == "plain":
+        return q.data
+    if rule.startswith("r"):
+        return q.pointers[0]
+    if rule.startswith("t"):
+        return t % 2
+    return (i % n + i // n) % 2
+
+
+@st.composite
+def torus_rule_cases(draw):
+    n = draw(st.integers(2, 9))
+    # xor-plain's two arm lengths differ wherever the side allows it
+    a = draw(st.integers(1, n // 2))
+    b = draw(st.sampled_from([v for v in range(1, n // 2 + 1) if v != a] or [a]))
+    data = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    # off-orbit pointers, each cell its own tuple object
+    ptrs = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=n * n, max_size=n * n))
+    return n, a, b, data, ptrs, draw(st.integers(0, 9))
+
+
+@pytest.mark.parametrize("rule", TORUS_RULES + ("plain",))
+@given(case=torus_rule_cases())
+def test_torus_rules_share_tuples_equal_to_per_cell_forms(rule, case):
+    n, a, b, data, ptrs, t = case
+    if rule == "plain":
+        spec = alg_xor_plain(n, a, b)
+        cfg = make_configuration(data, None, spec.topology)
+    else:
+        spec = alg_xor2d(n, rule)
+        cfg = make_configuration(data, [tuple([p]) for p in ptrs], spec.topology)
+    rs = spec.ruleset
+    ref_addresses, ref_pointer_rule = ref_torus_rules(rule, n, a, b)
+    shared, shared_pointers = {}, {}
+    for i, q in enumerate(cfg.states):
+        if rule == "plain":
+            got, want = rs.pointer_function(i, q), ref_addresses(i, q)
+        else:
+            ctx = RuleContext()
+            ctx.i, ctx.cell, ctx.t = i, q, t
+            got, want = rs.address_modifier(ctx), ref_addresses(ctx)
+            new = rs.pointer_rule(ctx)
+            assert new == ref_pointer_rule(ctx), (i, q)
+            if rule.startswith("r"):
+                assert new is shared_pointers.setdefault(q.pointers[0], new), (i, q)
+        assert got == want, (i, q)
+        # cells with equal inputs get the very same tuple
+        assert got is shared.setdefault(shared_key(rule, n, t, i, q), got), (i, q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from gca import CATALOG, Steps, catalog_names, execute, formats
 from gca.algorithms import alg_max
-from gca.cli import OUT_DIR_ENV, RunConfig, main
+from gca.cli import FORMAT_CHOICES, OUT_DIR_ENV, STOP_CHOICES, RunConfig, main
 from gca.oracles import load_golden
 
 
@@ -309,6 +309,28 @@ def test_bad_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 1
     assert "bad config" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.txt")]) == 1
+
+
+@pytest.mark.parametrize("key", ["stop", "format"])
+def test_config_values_checked_like_the_flags(outdir, tmp_path, capsys, key):
+    # a value outside the flag's choices is a usage error from either source;
+    # from a file it stops the run before anything is written
+    assert main(["run", "--alg", "max", f"--{key}", "bogus"]) == 1
+    capsys.readouterr()
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "bogus.txt"
+    cfg_file.write_text(f"alg=max\nn=8\nout={out}\n{key}=bogus\n")
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert "bad config file" in err and f"{key} must be one of" in err
+    assert not out.exists()
+
+
+def test_config_accepts_every_flag_choice():
+    for v in STOP_CHOICES:
+        assert RunConfig.from_text(f"stop={v}\n").stop == v
+    for v in FORMAT_CHOICES:
+        assert RunConfig.from_text(f"format={v}\n").format == v
 
 
 def test_identical_configs_give_identical_artifacts(tmp_path, monkeypatch):

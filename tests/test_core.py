@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gca import (
     CellState,
@@ -64,14 +66,19 @@ def test_normalize_relative_examples():
     assert normalize_relative(0, 1) == 0
 
 
-def test_normalize_relative_stays_in_window():
-    rng = random.Random(7)
-    for _ in range(500):
-        n = rng.randint(1, 40)
-        a = rng.randint(-300, 300)
-        r = normalize_relative(a, n)
-        assert r in relative_window(n)
-        assert (r - a) % n == 0
+@settings(max_examples=500)
+@given(st.integers(1, 200), st.integers(-10**12, 10**12))
+def test_normalize_relative_stays_in_window(n, a):
+    r = normalize_relative(a, n)
+    assert r in relative_window(n)
+    assert (r - a) % n == 0
+    assert normalize_relative(r, n) == r
+
+
+@given(st.integers(-10**6, 0), st.integers(-10**12, 10**12))
+def test_normalize_relative_rejects_empty_ring(n, a):
+    with pytest.raises(PreconditionError, match="ring size must be positive"):
+        normalize_relative(a, n)
 
 
 def test_resolve_ring():
