@@ -2,6 +2,7 @@
 
 from .core import (
     Address,
+    ByPointer,
     CellState,
     Configuration,
     FixedPoint,

@@ -16,12 +16,13 @@ address modifier, 1-D and torus) and xor-plain's pointer function.
 
 A rule may memoise its result, sharing one tuple between cells, when the
 result depends on the stored pointer, t's parity or the cell's colour alone;
-never on an RNG.  :func:`_pointer_map` is the one memo by stored pointer
-(reduce, Horn, max's inc/double/half, the r1-r8r pointer rules and
-modifiers).  The tB-tE modifiers pick one of two prebuilt tuples by
-``t & 1``, the sF-sH modifiers by the colour ``(x + y) & 1``, and xor-plain
-by the cell's bit.  Max's ``random`` variant draws per cell and memoises
-nothing.
+never on an RNG.  :class:`gca.core.ByPointer` is the one memo by stored
+pointer, and phase 1 skips its call for a cell that holds the previous
+cell's pointer tuple: reduce, Horn, max's const/inc/double/half, every torus
+pointer rule and the r1-r8r modifiers.  The tB-tE modifiers pick one of two
+prebuilt tuples by ``t & 1``, the sF-sH modifiers by the colour
+``(x + y) & 1``, and xor-plain by the cell's bit.  Max's ``random`` variant
+draws per cell and memoises nothing.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from typing import Any, Callable, Sequence
 
 from . import oracles
 from .core import (  # also re-exports step_sync and step_async
+    ByPointer,
     CellState,
     Configuration,
     FixedPoint,
     PreconditionError,
+    RuleEvaluationError,
     RuleSet,
     RunResult,
     Steps,
@@ -64,20 +67,9 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _pointer_map(make: Callable[[Any], tuple]) -> Callable[[Any], tuple]:
-    """Rule ``ctx -> make(p)`` for a result tuple (new pointers or effective
-    addresses) that depends on the first stored pointer ``p`` alone.  Results
-    are memoised by ``p``, so all cells holding one pointer share one tuple."""
-    memo: dict = {}
-
-    def rule(ctx):
-        p = ctx.cell[1][0]
-        r = memo.get(p)
-        if r is None:
-            r = memo[p] = make(p)
-        return r
-
-    return rule
+def _keep(p: int) -> tuple:
+    """``make`` of a by-pointer rule whose one pointer never changes."""
+    return (p,)
 
 
 @dataclass(frozen=True)
@@ -114,19 +106,23 @@ def execute(
     step_limit: int | None = None,
 ) -> RunResult:
     """Run a catalog algorithm from a fresh initial configuration, honoring
-    its scheduled events."""
-    return run(
-        spec.initial(),
-        spec.ruleset,
-        spec.stop if stop is None else stop,
-        mode=mode,
-        order=order,
-        seed=seed,
-        record_states=record_states,
-        record_edges=record_edges,
-        step_limit=step_limit,
-        events=spec.events,
-    )
+    its scheduled events.  A rule failure names the algorithm."""
+    try:
+        return run(
+            spec.initial(),
+            spec.ruleset,
+            spec.stop if stop is None else stop,
+            mode=mode,
+            order=order,
+            seed=seed,
+            record_states=record_states,
+            record_edges=record_edges,
+            step_limit=step_limit,
+            events=spec.events,
+        )
+    except RuleEvaluationError as exc:
+        exc.algorithm = spec.name
+        raise
 
 
 def _need_trace(result: RunResult) -> list[Configuration]:
@@ -170,16 +166,14 @@ def alg_max(
         ds = ctx.neighbors[0][0]
         return ds if ds > d else d
 
-    if pointer_variant == "const":
-        def pointer_rule(ctx):
-            return ctx.cell[1]
-    elif pointer_variant == "random":
+    if pointer_variant == "random":
         rng = __import__("random").Random(seed)
 
         def pointer_rule(ctx):  # one draw per cell: never memoised
             return (rng.randrange(n),)
     else:
-        pointer_rule = _pointer_map({
+        pointer_rule = ByPointer({
+            "const": _keep,
             "inc": lambda p: ((p + 1) % n,),
             "double": lambda p: ((2 * p) % n,),
             "half": lambda p: (n // 2,),
@@ -257,7 +251,7 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
             return fn(q[0], ctx.neighbors[0][0])
         return q[0]
 
-    pointer_rule = _pointer_map(lambda p: ((2 * p) % n,))
+    pointer_rule = ByPointer(lambda p: ((2 * p) % n,))
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
@@ -316,7 +310,7 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
             return q[0] + ctx.neighbors[0][0]
         return q[0]
 
-    pointer_rule = _pointer_map(lambda p: (trunc_mod(2 * p, n),))
+    pointer_rule = ByPointer(lambda p: (trunc_mod(2 * p, n),))
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
@@ -473,10 +467,6 @@ def _xor4_data_rule(ctx):
     return (nb[0][0] + nb[1][0] + nb[2][0] + nb[3][0]) & 1
 
 
-def _keep_pointers(ctx):
-    return ctx.cell[1]
-
-
 def _nesw(px: int, py: int | None = None) -> tuple:
     """North, east, south and west offsets at distance ``px`` along x and
     ``py`` (default ``px``) along y."""
@@ -611,8 +601,8 @@ def alg_xor2d(
     # parity or cell colour.  The verify references (``arms(k)``) build their
     # own tuples from the helpers, once per generation or cell, not per read.
     if rule in _XOR2D_RULES:
-        modifier = _pointer_map(_nesw)
-        pointer_rule = _pointer_map(lambda p: (xor2d_pointer_step(rule, p, n),))
+        modifier = ByPointer(_nesw)
+        pointer_rule = ByPointer(lambda p: (xor2d_pointer_step(rule, p, n),))
         pointers = (1,)
 
         def arms(k: int):
@@ -624,7 +614,7 @@ def alg_xor2d(
         def modifier(ctx):
             return odd if ctx.t & 1 else even
 
-        pointer_rule = _keep_pointers
+        pointer_rule = ByPointer(_keep)
         pointers = (1,)
 
         def arms(k: int):
@@ -637,7 +627,7 @@ def alg_xor2d(
             i = ctx.i
             return odd if (i % n + i // n) & 1 else even
 
-        pointer_rule = _keep_pointers
+        pointer_rule = ByPointer(_keep)
         pointers = (_SPACEDEP_RULES[rule],)
 
         def arms(k: int):

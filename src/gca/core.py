@@ -29,6 +29,15 @@ cell i's effective addresses, and records the access edges when asked to.
 The common relative shapes (2-D with four arms, 1-D with two) are unrolled,
 the 1-D one-arm case is inlined in the loop, and every other shape resolves
 its arm vector with the loop form of :func:`resolve`.
+
+:class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
+wraps ``make(p)`` for a result (new pointers or effective addresses) that
+depends on the first stored pointer ``p = ctx.cell[1][0]`` alone, never on an
+RNG, the cell, the neighbours or t, and memoises it by ``p``.  So when a cell
+holds the very pointer tuple object of the previous cell that phase 1 called
+the rule for (``is``, not ``==``), phase 1 skips the pointer-rule call, and
+the general variant's address-modifier call, and reuses that result.  The
+data rule still runs for every cell first, so a failure names the same cell.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
 __all__ = [
     "Address",
+    "ByPointer",
     "CellState",
     "Configuration",
     "FixedPoint",
@@ -74,12 +84,31 @@ class PreconditionError(GcaError, ValueError):
 
 
 class RuleEvaluationError(GcaError):
-    """A data or pointer rule raised; reports the offending cell and time."""
+    """A rule raised at ``cell`` in generation ``time``.
 
-    def __init__(self, cell: int, time: int, cause: BaseException):
-        super().__init__(f"rule evaluation failed at cell {cell}, t={time}: {cause!r}")
+    ``state`` is the cell's generation-t state, ``read`` the states it had
+    gathered (``()`` when the failure came before the reads) and
+    ``algorithm`` the catalog entry's name when :func:`gca.algorithms.execute`
+    ran it.
+    """
+
+    def __init__(
+        self, cell: int, time: int, cause: BaseException, state: Any = None, read: tuple = ()
+    ):
+        super().__init__(cell, time, cause, state, read)
         self.cell = cell
         self.time = time
+        self.cause = cause
+        self.state = state
+        self.read = read
+        self.algorithm: str | None = None
+
+    def __str__(self) -> str:
+        where = f"{self.algorithm}: " if self.algorithm else ""
+        return (
+            f"{where}rule evaluation failed at cell {self.cell}, t={self.time}: "
+            f"{self.cause!r}; state {self.state!r}, read {self.read!r}"
+        )
 
 
 class StepLimitError(GcaError):
@@ -288,6 +317,27 @@ class RuleContext:
         self.params: Any = None
 
 
+class ByPointer:
+    """Rule ``ctx -> make(p)`` for a result tuple (new pointers or effective
+    addresses) that depends on the first stored pointer ``p`` alone.  Results
+    are memoised by ``p``, so all cells holding one pointer share one tuple,
+    and phase 1 calls the rule only when a cell's pointer tuple is not the
+    previous call's (see the module docstring)."""
+
+    __slots__ = ("make", "memo")
+
+    def __init__(self, make: Callable[[Any], tuple]):
+        self.make = make
+        self.memo: dict = {}
+
+    def __call__(self, ctx: RuleContext) -> tuple:
+        p = ctx.cell[1][0]
+        r = self.memo.get(p)
+        if r is None:
+            r = self.memo[p] = self.make(p)
+        return r
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Local program of an automaton.
@@ -408,6 +458,9 @@ def _access_plan(
     return gather
 
 
+_UNSET = object()
+
+
 def _no_pointers(ctx: RuleContext) -> tuple:
     """Pointer rule of the plain variant, whose cells store no pointers."""
     return ()
@@ -427,8 +480,9 @@ def _phase1(
 
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.  Any
-    rule failure surfaces as :class:`RuleEvaluationError` naming the cell
-    and t; the cells evaluated so far are in ``out`` only.
+    rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
+    the cell's state and what it read; the cells evaluated so far are in
+    ``out`` only.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -439,6 +493,15 @@ def _phase1(
     pf = ruleset.pointer_function
     arms = ruleset.arms
     gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
+    # gp/gr and mp/eff_m: the pointer tuple object a by-pointer rule was
+    # last called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
+    # cells hold the empty tuple and get it back, so their rule counts as
+    # by-pointer and is called for no such cell.
+    by_g = plain or type(g) is ByPointer
+    by_modifier = type(modifier) is ByPointer
+    gp = () if plain else _UNSET
+    mp = _UNSET
+    gr = eff_m = ()
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -448,25 +511,45 @@ def _phase1(
     try:
         for i in order:
             q = states[i]
+            p = q[1]  # .pointers without the descriptor hop
             ctx.i = i
             ctx.cell = q
             if basic:
-                eff = q[1]  # .pointers without the descriptor hop
+                eff = p
             elif plain:
                 eff = pf(i, q)
+            elif by_modifier and p is mp:
+                eff = eff_m
             else:
                 ctx.neighbors = ()
                 eff = modifier(ctx)
+                if by_modifier:
+                    mp = p
+                    eff_m = eff
             if gather is None:
                 (a,) = eff  # unpacking checks the arity
                 ctx.neighbors = (states[(i + a) % n],)
             else:
                 ctx.neighbors = gather(i, eff)
-            out[i] = tnew(cs, (f(ctx), g(ctx)))
+            try:  # free in the loop: a try block costs nothing until it raises
+                if p is gp:  # the by-pointer rule's result for this tuple
+                    out[i] = tnew(cs, (f(ctx), gr))
+                elif by_g:
+                    d = f(ctx)
+                    gr = g(ctx)
+                    gp = p
+                    out[i] = tnew(cs, (d, gr))
+                else:
+                    out[i] = tnew(cs, (f(ctx), g(ctx)))
+            except GcaError:
+                raise
+            except Exception as exc:
+                raise RuleEvaluationError(i, t, exc, q, ctx.neighbors) from exc
     except GcaError:
         raise
-    except Exception as exc:
-        raise RuleEvaluationError(i, t, exc) from exc
+    except Exception as exc:  # before the reads: addresses, arity, order
+        state = ctx.cell if ctx.i == i else None
+        raise RuleEvaluationError(i, t, exc, state) from exc
 
 
 def gather_neighbors(

@@ -13,6 +13,7 @@ from gca import (
     CATALOG,
     PreconditionError,
     RuleContext,
+    RuleEvaluationError,
     RuleSet,
     Steps,
     catalog_names,
@@ -99,6 +100,11 @@ def test_max_random_variant():
     a = execute(alg_max(8, pointer_variant="random", seed=5))
     b = execute(alg_max(8, pointer_variant="random", seed=5))
     assert a.config.states == b.config.states
+    # one draw per cell, though every cell starts on one shared pointer tuple
+    spec = alg_max(8, pointer_variant="random", seed=5)
+    first = step_sync(spec.initial(), spec.ruleset)
+    rng = random.Random(5)
+    assert first.pointers() == [rng.randrange(8) for _ in range(8)]
 
 
 def test_max_guards():
@@ -825,6 +831,19 @@ def test_execute_honors_stop_override():
     spec = alg_max(8)
     res = execute(spec, stop=Steps(2))
     assert res.steps == 2
+
+
+def test_execute_names_the_algorithm_in_rule_failures():
+    spec = alg_reduce(4, "sum", [1, "x", 2, 3])
+    with pytest.raises(RuleEvaluationError) as exc:
+        execute(spec)
+    err = exc.value
+    assert (err.algorithm, err.cell, err.time) == ("reduce-sum", 0, 0)
+    assert (err.state, err.read) == (spec.initial().states[0], (spec.initial().states[1],))
+    assert str(err).startswith("reduce-sum: rule evaluation failed at cell 0, t=0")
+    with pytest.raises(RuleEvaluationError) as exc:
+        run(spec.initial(), spec.ruleset, spec.stop)
+    assert exc.value.algorithm is None
 
 
 def test_execute_rejects_negative_steps():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gca import (
+    ByPointer,
     CellState,
     FixedPoint,
     Predicate,
@@ -227,17 +228,84 @@ def test_step_sync_owner_write():
     assert sorted(writes) == [0, 1, 2, 3]
 
 
+def failure(cfg, rs):
+    with pytest.raises(RuleEvaluationError) as exc:
+        step_sync(cfg, rs)
+    err = exc.value
+    assert f"state {err.state!r}, read {err.read!r}" in str(err)
+    return err.cell, err.time, err.state, err.read
+
+
 def test_step_sync_rule_error_reports_cell():
     def bad(ctx):
         if ctx.i == 2:
             raise ValueError("boom")
         return ctx.cell.data
 
-    cfg = make_configuration([0, 0, 0, 0], (1,), Topology.ring(4))
+    cfg = make_configuration([10, 11, 12, 13], (1,), Topology.ring(4))
     rs = RuleSet(variant="basic", arms=1, data_rule=bad, pointer_rule=keep_pointers)
-    with pytest.raises(RuleEvaluationError) as exc:
-        step_sync(cfg, rs)
-    assert exc.value.cell == 2 and exc.value.time == 0
+    assert failure(cfg, rs) == (2, 0, cfg.states[2], (cfg.states[3],))
+
+
+def test_modifier_failure_reads_nothing():
+    # cell 1 gathered its neighbour before cell 2's modifier raised
+    cfg = make_configuration([10, 11, 12, 13], (1,), Topology.ring(4))
+
+    def bad_modifier(ctx):
+        if ctx.i == 2:
+            raise ValueError("boom")
+        return ctx.cell.pointers
+
+    rs = RuleSet(
+        variant="general", arms=1, data_rule=incr_rule, pointer_rule=keep_pointers,
+        address_modifier=bad_modifier,
+    )
+    assert failure(cfg, rs) == (2, 0, cfg.states[2], ())
+
+    # by pointer: cells 0-2 share one tuple, so the modifier's first call
+    # after cell 0 is cell 3's, with a pointer its make rejects
+    def make(p):
+        if p == 3:
+            raise ValueError("boom")
+        return (p,)
+
+    rs = RuleSet(
+        variant="general", arms=1, data_rule=incr_rule, pointer_rule=keep_pointers,
+        address_modifier=ByPointer(make),
+    )
+    cfg = make_configuration([10, 11, 12, 13], [(1,)] * 3 + [(3,)], Topology.ring(4))
+    assert failure(cfg, rs) == (3, 0, cfg.states[3], ())
+
+
+def test_by_pointer_failure_on_first_cell_of_a_new_tuple():
+    first, second = (1,), (2,)
+    cfg = make_configuration(
+        [10, 11, 12, 13], [first, first, second, second], Topology.ring(4)
+    )
+    made = []
+
+    def make(p):
+        made.append(p)
+        if p == 2:
+            raise ValueError("boom")
+        return (p,)
+
+    rs = RuleSet(variant="basic", arms=1, data_rule=incr_rule, pointer_rule=ByPointer(make))
+    assert failure(cfg, rs) == (2, 0, cfg.states[2], (cfg.states[0],))
+    assert made == [1, 2]
+
+
+def test_gather_failure_reads_nothing():
+    # cell 1 declares two arms where the rule set has one: the arity check
+    # raises before cell 1 reads, after cell 0 has read
+    cfg = make_configuration([10, 11, 12], [(1,), (1, 1), (1,)], Topology.ring(3))
+    assert failure(cfg, max_ruleset()) == (1, 0, cfg.states[1], ())
+    plain = RuleSet(
+        variant="plain", arms=1, data_rule=incr_rule,
+        pointer_function=lambda i, q: (1,) if i != 1 else 1 // 0,
+    )
+    cfg = make_configuration([10, 11, 12], None, Topology.ring(3))
+    assert failure(cfg, plain) == (1, 0, cfg.states[1], ())
 
 
 def test_step_sync_edge_sink_counts():

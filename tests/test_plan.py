@@ -1,6 +1,7 @@
 """Property tests of the phase-1 access plan against a reference built from
 ``resolve``: every variant, ring and torus, relative and absolute addressing,
-one to four arms."""
+one to four arms; and of phase 1's by-pointer shortcut against per-cell
+calls."""
 
 import random
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gca import (
+    ByPointer,
     CellState,
     RuleContext,
     RuleEvaluationError,
@@ -57,19 +59,24 @@ def plain_function(arms: int, twod: bool):
     return pointer_function
 
 
-@st.composite
-def automata(draw):
-    """A configuration and a rule set of any engine shape."""
-    variant = draw(st.sampled_from(("basic", "general", "plain")))
+def engine_shape(draw):
+    """``(addressing, arms, topology, address strategy)`` of any engine shape."""
     addressing = draw(st.sampled_from(("relative", "absolute")))
     arms = draw(st.integers(1, 4))
-    twod = draw(st.booleans())
-    if twod:
+    if draw(st.booleans()):
         topo = Topology.torus(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
         address = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
     else:
         topo = Topology.ring(draw(st.integers(1, 12)))
         address = st.integers(-25, 25)
+    return addressing, arms, topo, address
+
+
+@st.composite
+def automata(draw):
+    """A configuration and a rule set of any engine shape."""
+    variant = draw(st.sampled_from(("basic", "general", "plain")))
+    addressing, arms, topo, address = engine_shape(draw)
     n = topo.n
     data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
     pointers = None
@@ -80,7 +87,7 @@ def automata(draw):
     if variant == "general":
         kwargs["address_modifier"] = address_modifier
     if variant == "plain":
-        kwargs["pointer_function"] = plain_function(arms, twod)
+        kwargs["pointer_function"] = plain_function(arms, topo.is_2d)
     else:
         kwargs["pointer_rule"] = pointer_rule
     rs = RuleSet(
@@ -168,14 +175,20 @@ def test_gather_neighbors_matches_resolve(case):
         assert gather_neighbors(cfg, i, rs) == (tuple(cfg.states[j] for j in targets), targets)
 
 
-@given(automata(), st.sampled_from(("ascending", "descending", "random")), st.integers(0, 99))
-def test_step_async_matches_sequential_reference(case, order, seed):
-    cfg, rs = case
-    sequence = list(range(cfg.n))
+def sweep_order(n, order, seed):
+    """The cell order of ``step_async(..., order=order, seed=seed)``."""
+    sequence = list(range(n))
     if order == "descending":
         sequence.reverse()
     elif order == "random":
         random.Random(seed).shuffle(sequence)
+    return sequence
+
+
+@given(automata(), st.sampled_from(("ascending", "descending", "random")), st.integers(0, 99))
+def test_step_async_matches_sequential_reference(case, order, seed):
+    cfg, rs = case
+    sequence = sweep_order(cfg.n, order, seed)
     before = list(cfg.states)
     nxt = step_async(cfg, rs, order=order, seed=seed)
     assert nxt.states == reference_async(cfg, rs, sequence)
@@ -211,7 +224,8 @@ def test_rule_failure_commits_nothing(case, data):
         try:
             step()
         except RuleEvaluationError as exc:
-            assert (exc.cell, exc.time) == (bad, time)
+            assert (exc.cell, exc.time, exc.state) == (bad, time, before[bad])
+            assert len(exc.read) == rs.arms
             assert isinstance(exc.__cause__, ArithmeticError)
         else:
             raise AssertionError("no RuleEvaluationError")
@@ -235,3 +249,83 @@ def test_arity_checked_per_cell(case, data):
             assert (exc.cell, exc.time) == (bad, cfg.time)
         else:
             raise AssertionError("no RuleEvaluationError")
+
+
+# ---------------------------------------------------------------------------
+# the by-pointer shortcut: phase 1 reuses a ByPointer rule's result for a
+# cell holding the previous call's pointer tuple object
+
+
+def by_pointer_make(arms: int, by: int):
+    """``make(p)``: an arm vector that depends on the first stored pointer
+    alone."""
+    return lambda p: tuple(shift(p, by * k + 1) for k in range(arms))
+
+
+def per_cell(make):
+    return lambda ctx: make(ctx.cell.pointers[0])
+
+
+@st.composite
+def by_pointer_automata(draw):
+    """A basic or general automaton whose pointer rule (and modifier) are
+    ByPointer rules, plus the rule set that calls their ``make`` per cell.
+    Its cells all share one pointer tuple, each hold an equal copy of one of
+    a few vectors, or mix shared tuples and copies."""
+    variant = draw(st.sampled_from(("basic", "general")))
+    addressing, arms, topo, address = engine_shape(draw)
+    n = topo.n
+    pool = draw(st.lists(st.tuples(*[address] * arms), min_size=1, max_size=3))
+    sharing = draw(st.sampled_from(("shared", "copies", "mixed")))
+    pointers = []
+    for _ in range(n):
+        v = pool[0] if sharing == "shared" else draw(st.sampled_from(pool))
+        copy = sharing == "copies" or (sharing == "mixed" and draw(st.booleans()))
+        pointers.append(tuple(list(v)) if copy else v)
+    data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
+    makes = {"pointer_rule": by_pointer_make(arms, 1)}
+    if variant == "general":
+        makes["address_modifier"] = by_pointer_make(arms, 2)
+    shape = dict(variant=variant, arms=arms, data_rule=data_rule, addressing=addressing)
+    rs = RuleSet(**shape, **{k: ByPointer(make) for k, make in makes.items()})
+    ref = RuleSet(**shape, **{k: per_cell(make) for k, make in makes.items()})
+    cfg = make_configuration(data, pointers, topo)
+    cfg.time = draw(st.integers(0, 5))
+    return cfg, rs, ref
+
+
+@given(by_pointer_automata(), st.sampled_from(("ascending", "descending", "random")),
+       st.integers(0, 99))
+def test_by_pointer_shortcut_matches_per_cell_calls(case, order, seed):
+    cfg, rs, ref = case
+    sequence = sweep_order(cfg.n, order, seed)
+    sync = step_sync(cfg, rs)
+    sweep = step_async(cfg, rs, order=order, seed=seed)
+    assert sync.states == reference_sync(cfg, ref)
+    assert sweep.states == reference_async(cfg, ref, sequence)
+    memo = rs.pointer_rule.memo
+    for nxt in (sync, sweep):
+        # every new pointer tuple is the memoised one for the cell's pointer
+        for q, new in zip(cfg.states, nxt.states):
+            assert new.pointers is memo[q.pointers[0]]
+    for i in range(cfg.n):
+        targets = reference_targets(cfg, ref, cfg.states, i)
+        assert gather_neighbors(cfg, i, rs) == (tuple(cfg.states[j] for j in targets), targets)
+
+
+@given(by_pointer_automata())
+def test_other_rules_run_once_per_cell_on_shared_tuples(case):
+    cfg, _, ref = case
+    calls = []
+
+    def counted(rule):
+        def call(ctx):
+            calls.append(ctx.i)
+            return rule(ctx)
+        return call
+
+    rules = {"pointer_rule": counted(ref.pointer_rule)}
+    if ref.variant == "general":
+        rules["address_modifier"] = counted(ref.address_modifier)
+    assert step_sync(cfg, replace(ref, **rules)).states == reference_sync(cfg, ref)
+    assert sorted(calls) == sorted(list(range(cfg.n)) * len(rules))
