@@ -8,7 +8,9 @@ executed run against the bundled brute-force references.
 
 Catalog entries are registered in :data:`CATALOG` by name; the firing module
 adds its own entries on import.  An entry's parameters, with their defaults,
-are the options it takes and its default instance.
+are the options it takes and its default instance.  A spec's
+``expected_steps`` is its ``Steps`` stop's count; only reduce, which halts at
+a fixed point one step after its k generations, states it.
 
 Hot rules read states by index (``q[0]`` for ``.data``, ``q[1][0]`` for
 ``.pointers[0]``): max, reduce and Horn, every XOR rule (data, pointer and
@@ -28,7 +30,7 @@ draws per cell and memoises nothing.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, pi, sin
 from typing import Any, Callable, Sequence
 
@@ -77,9 +79,12 @@ class AlgorithmSpec:
     """A runnable algorithm instance.
 
     ``initial`` returns a fresh generation-0 configuration on every call.
-    ``events`` lists ``(time, mutator)`` pairs applied in place when the run
-    reaches that generation (external interventions, not rules).  ``verify``
-    inspects a recorded run and returns an error message or None.
+    ``expected_steps`` is the number of generations the algorithm computes;
+    it defaults to the count of a :class:`Steps` stop, so only a builder with
+    an open-ended stop states it.  ``events`` lists ``(time, mutator)`` pairs
+    applied in place when the run reaches that generation (external
+    interventions, not rules).  ``verify`` inspects a recorded run and
+    returns an error message or None.
     """
 
     name: str
@@ -88,37 +93,26 @@ class AlgorithmSpec:
     initial: Callable[[], Configuration]
     stop: StopRule
     expected_steps: int | None = None
-    params: dict = field(default_factory=dict)
     events: tuple[tuple[int, Callable[[Configuration], None]], ...] = ()
     annotate: Callable[[int, list[Configuration]], str] | None = None
     verify: Callable[["AlgorithmSpec", RunResult], str | None] | None = None
 
+    def __post_init__(self) -> None:
+        if self.expected_steps is None and isinstance(self.stop, Steps):
+            object.__setattr__(self, "expected_steps", self.stop.count)
 
-def execute(
-    spec: AlgorithmSpec,
-    stop: StopRule | None = None,
-    *,
-    mode: str = "sync",
-    order: str = "ascending",
-    seed: int | None = None,
-    record_states: bool = False,
-    record_edges: bool = False,
-    step_limit: int | None = None,
-) -> RunResult:
+
+def execute(spec: AlgorithmSpec, stop: StopRule | None = None, **options) -> RunResult:
     """Run a catalog algorithm from a fresh initial configuration, honoring
-    its scheduled events.  A rule failure names the algorithm."""
+    its scheduled events; ``options`` are :func:`gca.core.run`'s.  A rule
+    failure names the algorithm."""
     try:
         return run(
             spec.initial(),
             spec.ruleset,
             spec.stop if stop is None else stop,
-            mode=mode,
-            order=order,
-            seed=seed,
-            record_states=record_states,
-            record_edges=record_edges,
-            step_limit=step_limit,
             events=spec.events,
+            **options,
         )
     except RuleEvaluationError as exc:
         exc.algorithm = spec.name
@@ -209,8 +203,6 @@ def alg_max(
         topology=topo,
         initial=initial,
         stop=Steps(n - 1),
-        expected_steps=n - 1,
-        params={"n": n, "pointer_variant": pointer_variant},
         verify=verify,
     )
 
@@ -282,7 +274,6 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
         initial=initial,
         stop=FixedPoint(),
         expected_steps=k,
-        params={"n": n, "op": op},
         verify=verify,
     )
 
@@ -333,8 +324,6 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
         topology=topo,
         initial=initial,
         stop=Steps(k),
-        expected_steps=k,
-        params={"n": n},
         verify=verify,
     )
 
@@ -444,8 +433,6 @@ def alg_bitonic_merge(
         topology=topo,
         initial=initial,
         stop=Steps(k),
-        expected_steps=k,
-        params={"n": n, "model": model},
         verify=verify,
     )
 
@@ -480,7 +467,6 @@ def _xor_torus(
     n: int,
     grid: Sequence[Sequence[int]] | None,
     steps: int,
-    params: dict,
     ruleset: RuleSet,
     pointers: tuple | None,
     reference: Callable[[list[list[int]], int], list[list[list[int]]]],
@@ -511,8 +497,6 @@ def _xor_torus(
         topology=topo,
         initial=initial,
         stop=Steps(steps),
-        expected_steps=steps,
-        params=params,
         verify=verify,
     )
 
@@ -651,7 +635,7 @@ def alg_xor2d(
         address_modifier=modifier,
     )
     return _xor_torus(
-        f"xor2d-{rule}", n, grid, steps, {"n": n, "rule": rule}, ruleset, pointers,
+        f"xor2d-{rule}", n, grid, steps, ruleset, pointers,
         lambda g, k: oracles.xor_evolution(n, n, g, arms(k), k),
     )
 
@@ -683,7 +667,7 @@ def alg_xor_plain(
         pointer_function=pointer_function,
     )
     return _xor_torus(
-        "xor-plain", n, grid, steps, {"n": n, "a": a, "b": b}, ruleset, None,
+        "xor-plain", n, grid, steps, ruleset, None,
         lambda g, k: oracles.plain_xor_evolution(n, g, a, b, k),
     )
 
@@ -797,8 +781,6 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         topology=topo,
         initial=initial,
         stop=Steps(steps),
-        expected_steps=steps,
-        params={"n": n, "variant": variant, "steps": steps},
         annotate=annotate,
         verify=verify,
     )
@@ -880,8 +862,6 @@ def alg_fft(k: int = 3, values: Sequence[complex] | None = None) -> AlgorithmSpe
         topology=topo,
         initial=initial,
         stop=Steps(k),
-        expected_steps=k,
-        params={"k": k, "n": n},
         verify=verify,
     )
 

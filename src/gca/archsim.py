@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algorithms import AlgorithmSpec
-from .core import Configuration, GcaError, PreconditionError, Steps, run
+from .core import Configuration, GcaError, PreconditionError, RuleEvaluationError, Steps, run
 from .core import step_sync  # re-exported: bench/tracer.py patches archsim.step_sync
 
 STAGES = ("Fetch", "Get", "Exe", "Write")
@@ -278,7 +278,8 @@ def run_on_arch(
     :func:`~gca.core.run`'s synchronous result with the algorithm's events,
     the cycle count comes from the schedule.
 
-    ``generations`` defaults to the algorithm's expected step count.
+    ``generations`` defaults to the algorithm's expected step count.  A rule
+    failure names the algorithm, as in :func:`~gca.algorithms.execute`.
     """
     if spec.ruleset.arms > arch.k:
         raise PreconditionError(
@@ -296,4 +297,8 @@ def run_on_arch(
             f"architecture sized for n={arch.n}, algorithm uses n={spec.topology.n}"
         )
     cycles = _simulate(arch, G).total_cycles
-    return run(spec.initial(), spec.ruleset, Steps(G), events=spec.events).config, cycles
+    try:
+        return run(spec.initial(), spec.ruleset, Steps(G), events=spec.events).config, cycles
+    except RuleEvaluationError as exc:
+        exc.algorithm = spec.name
+        raise

@@ -417,13 +417,10 @@ def main(argv=None) -> int:
                 except (OSError, ValueError) as exc:
                     print(f"error: bad config file: {exc}", file=sys.stderr)
                     return 1
-            for name in (
-                "alg", "n", "w", "h", "variant", "mode", "steps", "stop",
-                "format", "seed", "pointers", "edges", "out",
-            ):
-                value = getattr(args, name)
+            for f in fields(RunConfig):  # `states` has no flag
+                value = getattr(args, f.name, None)
                 if value is not None:
-                    setattr(cfg, name, value)
+                    setattr(cfg, f.name, value)
             return cmd_run(cfg)
         if args.command == "render":
             return cmd_render(args)

@@ -89,7 +89,7 @@ class RuleEvaluationError(GcaError):
     ``state`` is the cell's generation-t state, ``read`` the states it had
     gathered (``()`` when the failure came before the reads) and
     ``algorithm`` the catalog entry's name when :func:`gca.algorithms.execute`
-    ran it.
+    or :func:`gca.archsim.run_on_arch` ran it.
     """
 
     def __init__(
@@ -587,12 +587,14 @@ def step_sync(
 
     ``edge_sink`` collects ``(reader, target)`` access edges for this step.
     ``phase1_order`` evaluates phase 1 in the given index permutation (the
-    committed result is order independent); ``on_commit`` is a diagnostics
-    hook invoked once per cell at commit time with the owner index.  A rule
-    failure commits nothing.
+    committed result is order independent; anything else is rejected);
+    ``on_commit`` is a diagnostics hook invoked once per cell at commit time
+    with the owner index.  A rule failure commits nothing.
     """
     n = cfg.n
     new_states: list = [None] * n
+    if phase1_order is not None and sorted(phase1_order) != list(range(n)):
+        raise PreconditionError(f"phase1_order is not a permutation of 0..{n - 1}")
     order = range(n) if phase1_order is None else phase1_order
     _phase1(ruleset, cfg.topology, cfg.time, cfg.states, new_states, order, edge_sink)
     if on_commit is not None:

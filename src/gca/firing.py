@@ -142,52 +142,12 @@ def firing_wave(
         topology=topo,
         initial=initial,
         stop=Steps(horizon),
-        expected_steps=horizon,
-        params={"n": n, "general_at": general_at},
         verify=verify,
     )
 
 
 # ---------------------------------------------------------------------------
 # embedded rings
-
-def parse_ring_layout(text: str) -> tuple[list[list[int]], list[int]]:
-    """Parse ring descriptions: one ring per line (or ';'-separated),
-    comma-separated cell indices, the general suffixed with '*'.
-
-    Returns (rings, generals) with one general index per ring.
-    """
-    rings: list[list[int]] = []
-    generals: list[int] = []
-    chunks = [c for part in text.splitlines() for c in part.split(";")]
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        cells: list[int] = []
-        general = None
-        for item in chunk.split(","):
-            item = item.strip()
-            starred = item.endswith("*")
-            if starred:
-                item = item[:-1]
-            try:
-                idx = int(item)
-            except ValueError:
-                raise PreconditionError(f"bad ring cell {item!r}") from None
-            if starred:
-                if general is not None:
-                    raise PreconditionError(f"two generals in ring {chunk!r}")
-                general = idx
-            cells.append(idx)
-        if general is None:
-            raise PreconditionError(f"ring {chunk!r} has no general (mark with '*')")
-        rings.append(cells)
-        generals.append(general)
-    if not rings:
-        raise PreconditionError("no rings in layout")
-    return rings, generals
-
 
 def firing_rings(
     n: int = 9,
@@ -293,12 +253,6 @@ def firing_rings(
         topology=topo,
         initial=initial,
         stop=Steps(horizon),
-        expected_steps=horizon,
-        params={
-            "n": n,
-            "rings": [list(r) for r in ring_list],
-            "generals": list(generals),
-        },
         verify=verify,
     )
 
@@ -368,8 +322,6 @@ def firing_jump_v1(
         topology=topo,
         initial=initial,
         stop=Steps(horizon),
-        expected_steps=horizon,
-        params={"n": n, "general_at": general_at},
         verify=verify,
     )
 
@@ -489,13 +441,6 @@ def firing_jump_v2(
         topology=topo,
         initial=initial,
         stop=Steps(horizon),
-        expected_steps=horizon,
-        params={
-            "n": n,
-            "general_at": general_at,
-            "introduce_at": introduce_at,
-            "start_p": start_p,
-        },
         events=((introduce_at, introduce),),
         verify=verify,
     )

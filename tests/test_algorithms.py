@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from gca import (
     CATALOG,
+    CellState,
+    FixedPoint,
     PreconditionError,
     RuleContext,
     RuleEvaluationError,
     RuleSet,
+    StepLimitError,
     Steps,
     catalog_names,
     default_instance,
@@ -40,6 +43,7 @@ from gca.algorithms import (
     xor2d_pointer_sequence,
     xor2d_pointer_step,
 )
+from gca.firing import FiringState
 from gca.oracles import (
     bit_reversed_indices,
     discover_output_permutation,
@@ -497,22 +501,24 @@ def test_cross_grid():
 
 
 def test_xor_torus_builds():
-    # every torus entry keeps its name, params, step count and initial pointers
+    # every torus entry keeps its name, side, step count and initial pointers
     assert sorted(n for n in CATALOG if n.startswith("xor2d-")) == sorted(
         f"xor2d-{r}" for r in TORUS_RULES
     )
     for rule in TORUS_RULES:
         spec = default_instance(f"xor2d-{rule}")
-        assert (spec.name, spec.params, spec.expected_steps) == (
-            f"xor2d-{rule}", {"n": 8, "rule": rule}, 8
+        assert (spec.name, spec.topology.dims, spec.expected_steps) == (
+            f"xor2d-{rule}", (8, 8), 8
         )
         p = {"sG": 2, "sH": 3}.get(rule, 1)
         assert {q.pointers for q in spec.initial().states} == {(p,)}
     spec = default_instance("xor-plain")
-    assert (spec.name, spec.params, spec.expected_steps) == (
-        "xor-plain", {"n": 7, "a": 2, "b": 3}, 10
-    )
+    assert (spec.name, spec.topology.dims, spec.expected_steps) == ("xor-plain", (7, 7), 10)
     assert {q.pointers for q in spec.initial().states} == {()}
+    # arm lengths a=2 (cells holding 0) and b=3 (cells holding 1)
+    arms = spec.ruleset.pointer_function
+    assert arms(0, CellState(0, ())) == ((0, -2), (2, 0), (0, 2), (-2, 0))
+    assert arms(0, CellState(1, ())) == ((0, -3), (3, 0), (0, 3), (-3, 0))
 
 
 def test_xor_torus_guards():
@@ -785,37 +791,65 @@ def test_catalog_contents():
         assert required in names
 
 
-# name -> (params, expected_steps) of each default instance
+# name -> (topology dims, expected_steps) of each default instance
 DEFAULT_INSTANCES = {
-    "bitonic": ({"n": 16, "model": "general"}, 4),
-    "bitonic-basic": ({"n": 16, "model": "basic"}, 4),
-    "fft": ({"k": 3, "n": 8}, 3),
-    "fire-jump1": ({"n": 8, "general_at": 0}, 4),
-    "fire-jump2": ({"n": 9, "general_at": 4, "introduce_at": 1, "start_p": 0}, 12),
-    "fire-rings": (
-        {"n": 9, "rings": [[2, 4, 6], [1, 3, 5, 7]], "generals": [6, 1]}, 10
-    ),
-    "fire-wave": ({"n": 16, "general_at": 0}, 18),
-    "horn": ({"n": 16}, 4),
-    "max": ({"n": 16, "pointer_variant": "const"}, 15),
-    "reduce-and": ({"n": 16, "op": "and"}, 4),
-    "reduce-avg": ({"n": 16, "op": "avg"}, 4),
-    "reduce-max": ({"n": 16, "op": "max"}, 4),
-    "reduce-min": ({"n": 16, "op": "min"}, 4),
-    "reduce-or": ({"n": 16, "op": "or"}, 4),
-    "reduce-sum": ({"n": 16, "op": "sum"}, 4),
-    "xor-plain": ({"n": 7, "a": 2, "b": 3}, 10),
-    "xor1d-basic": ({"n": 31, "variant": "basic", "steps": 5}, 5),
-    "xor1d-general": ({"n": 31, "variant": "general", "steps": 5}, 5),
-    **{f"xor2d-{r}": ({"n": 8, "rule": r}, 8) for r in TORUS_RULES},
+    "bitonic": ((16,), 4),
+    "bitonic-basic": ((16,), 4),
+    "fft": ((8,), 3),
+    "fire-jump1": ((8,), 4),
+    "fire-jump2": ((9,), 12),
+    "fire-rings": ((9,), 10),
+    "fire-wave": ((16,), 18),
+    "horn": ((16,), 4),
+    "max": ((16,), 15),
+    **{f"reduce-{op}": ((16,), 4) for op in ("and", "avg", "max", "min", "or", "sum")},
+    "xor-plain": ((7, 7), 10),
+    "xor1d-basic": ((31,), 5),
+    "xor1d-general": ((31,), 5),
+    **{f"xor2d-{r}": ((8, 8), 8) for r in TORUS_RULES},
 }
+
+
+def _generals(spec):
+    """Cells holding the general once the scheduled events have run."""
+    cfg = spec.initial()
+    for _, event in spec.events:
+        event(cfg)
+    return [i for i, q in enumerate(cfg.states) if q.data == FiringState.G]
 
 
 def test_default_instances_have_expected_steps():
     assert sorted(DEFAULT_INSTANCES) == catalog_names()
-    for name, (params, steps) in DEFAULT_INSTANCES.items():
+    for name, (dims, steps) in DEFAULT_INSTANCES.items():
         spec = default_instance(name)
-        assert (spec.name, spec.params, spec.expected_steps) == (name, params, steps)
+        assert (spec.name, spec.topology.dims, spec.expected_steps) == (name, dims, steps)
+    # options the name does not carry, read off the instance
+    spec = default_instance("max")
+    assert {q.pointers for q in spec.initial().states} == {(1,)}
+    const = execute(spec, Steps(1)).config  # the const variant keeps its pointer
+    assert {q.pointers for q in const.states} == {(1,)}
+    assert _generals(default_instance("fire-wave")) == [0]
+    assert _generals(default_instance("fire-jump1")) == [0]
+    assert _generals(default_instance("fire-rings")) == [1, 6]
+    jump2 = default_instance("fire-jump2")
+    assert (_generals(jump2), [t for t, _ in jump2.events]) == ([4], [1])
+    assert {q.pointers for q in jump2.initial().states} == {(0,)}
+
+
+def test_expected_steps_come_from_the_stop():
+    for name in catalog_names():
+        spec = default_instance(name)
+        if isinstance(spec.stop, Steps):
+            assert spec.expected_steps == spec.stop.count, name
+    # reduce halts at a fixed point one step after its k generations
+    spec = alg_reduce(32)
+    assert (type(spec.stop), spec.expected_steps) == (FixedPoint, 5)
+    assert execute(spec).steps == 6
+    # bench/tracer.py rebuilds specs with dataclasses.replace
+    assert dataclasses.replace(spec, verify=None).expected_steps == 5
+    spec = dataclasses.replace(alg_max(8), expected_steps=3)
+    assert (spec.stop.count, spec.expected_steps) == (7, 3)
+    assert dataclasses.replace(spec, verify=None).expected_steps == 3
 
 
 def test_family_entries_take_only_their_options():
@@ -824,13 +858,42 @@ def test_family_entries_take_only_their_options():
         assert all(not p.startswith("_") for p in inspect.signature(CATALOG[name]).parameters)
     with pytest.raises(TypeError):
         CATALOG["reduce-sum"](_op="max")
-    assert CATALOG["reduce-sum"](4, [1, 2, 3, 4]).params["op"] == "sum"
+    spec = CATALOG["reduce-sum"](4, [1, 2, 3, 4])
+    assert spec.name == "reduce-sum"
+    assert execute(spec).config.data() == [10] * 4
 
 
 def test_execute_honors_stop_override():
     spec = alg_max(8)
     res = execute(spec, stop=Steps(2))
     assert res.steps == 2
+
+
+def test_execute_forwards_run_options():
+    spec = default_instance("fire-jump2")  # its event must still be applied
+    cases = (
+        (None, {"record_states": True, "record_edges": True}),
+        (Steps(6), {"mode": "async", "order": "random", "seed": 7, "record_states": True}),
+        (Steps(6), {"mode": "async", "order": "descending", "record_states": True}),
+    )
+    plain = execute(spec, Steps(6), record_states=True)
+    for stop, options in cases:
+        got = execute(spec, stop, **options)
+        want = run(spec.initial(), spec.ruleset, stop or spec.stop, events=spec.events, **options)
+        assert (got.config.states, got.steps, got.halt) == (
+            want.config.states, want.steps, want.halt
+        )
+        assert [c.states for c in got.trace.snapshots] == [c.states for c in want.trace.snapshots]
+        assert got.trace.edges == want.trace.edges
+        if stop is not None:  # the options change the run
+            assert [c.states for c in got.trace.snapshots] != [
+                c.states for c in plain.trace.snapshots
+            ]
+    with pytest.raises(StepLimitError):
+        execute(alg_reduce(16), step_limit=3)
+    assert execute(alg_reduce(16), step_limit=5).steps == 5
+    with pytest.raises(TypeError):
+        execute(spec, bogus=1)
 
 
 def test_execute_names_the_algorithm_in_rule_failures():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gca import GcaError, PreconditionError, Steps
+from gca import GcaError, PreconditionError, RuleEvaluationError, Steps
 from gca.algorithms import alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
@@ -406,6 +406,15 @@ def test_run_on_arch_guards():
         run_on_arch(spec, ArchParams(n=8, k=0))
     with pytest.raises(PreconditionError):
         run_on_arch(spec, ArchParams(n=16, k=1))  # size mismatch
+
+
+def test_run_on_arch_names_the_algorithm_in_rule_failures():
+    spec = alg_reduce(4, "sum", [1, "x", 2, 3])
+    with pytest.raises(RuleEvaluationError) as exc:
+        run_on_arch(spec, ArchParams(n=4, k=1))
+    err = exc.value
+    assert (err.algorithm, err.cell, err.time) == ("reduce-sum", 0, 0)
+    assert str(err).startswith("reduce-sum: rule evaluation failed at cell 0, t=0")
 
 
 def test_run_on_arch_zero_generations():

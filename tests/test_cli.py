@@ -1,12 +1,13 @@
 """Command-line behavior: artifacts, exit codes, config replay."""
 
+import dataclasses
 import inspect
 import subprocess
 import sys
 
 import pytest
 
-from gca import CATALOG, Steps, catalog_names, execute, formats
+from gca import CATALOG, Steps, catalog_names, cli, execute, formats
 from gca.algorithms import alg_max
 from gca.cli import FORMAT_CHOICES, OUT_DIR_ENV, STOP_CHOICES, RunConfig, main
 from gca.oracles import load_golden
@@ -301,6 +302,30 @@ def test_config_file_flags_win(outdir, tmp_path, capsys):
     rc = main(["run", "--config", str(cfg_file), "--steps", "2"])
     assert rc == 0
     assert "max: 2 steps" in capsys.readouterr().out
+
+
+def test_every_run_flag_wins_over_the_config(tmp_path, monkeypatch):
+    # every RunConfig field but `states`, which has no flag, is a `gca run` flag
+    file_cfg = RunConfig(
+        alg="max", n=8, w=4, h=4, variant="inc", mode="sync", steps=3, format="text",
+        seed=1, states=False, pointers=False, edges=False, out=str(tmp_path / "a"),
+    )
+    flags = {
+        "alg": "horn", "n": 16, "w": 5, "h": 5, "variant": "double",
+        "mode": "async:ascending", "steps": 2, "stop": "fixed-point", "format": "csv",
+        "seed": 2, "pointers": True, "edges": True, "out": str(tmp_path / "b"),
+    }
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(flags) == sorted(n for n in names if n != "states")
+    cfg_file = tmp_path / "replay.txt"
+    cfg_file.write_text(file_cfg.to_text())
+    argv = ["run", "--config", str(cfg_file)]
+    for key, value in flags.items():
+        argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    assert seen == [dataclasses.replace(file_cfg, **flags)]
 
 
 def test_bad_config_file(tmp_path, capsys):

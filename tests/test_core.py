@@ -220,6 +220,19 @@ def test_step_sync_phase1_order_independent():
         assert step_sync(cfg, rs, phase1_order=order).states == ref.states
 
 
+@pytest.mark.parametrize(
+    "order", [[0, 0, 1, 2], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]],
+    ids=["duplicate", "missing", "out-of-range", "negative"],
+)
+def test_step_sync_rejects_a_phase1_order_that_is_not_a_permutation(order):
+    cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(4))
+    with pytest.raises(PreconditionError, match="not a permutation of 0..3"):
+        step_sync(cfg, max_ruleset(), phase1_order=order)
+    assert step_sync(cfg, max_ruleset(), phase1_order=[3, 1, 0, 2]).states == (
+        step_sync(cfg, max_ruleset()).states
+    )
+
+
 def test_step_sync_owner_write():
     """Every commit targets the owning cell exactly once."""
     cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(4))

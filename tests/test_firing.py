@@ -14,7 +14,6 @@ from gca.firing import (
     jump_v2_cycle,
     jump_v2_next_p,
     next_power_of_two,
-    parse_ring_layout,
     trace_rows,
 )
 
@@ -143,26 +142,6 @@ def test_rings_validation():
         firing_rings(9, ((1, 2),), (5,))  # general outside its ring
     with pytest.raises(PreconditionError):
         firing_rings(4, ((1, 9),), (1,))  # cell outside the array
-
-
-def test_parse_ring_layout():
-    rings, generals = parse_ring_layout("2,4,6*\n1*,3,5,7")
-    assert rings == [[2, 4, 6], [1, 3, 5, 7]]
-    assert generals == [6, 1]
-    rings, generals = parse_ring_layout("0*,1; 2,3*")
-    assert rings == [[0, 1], [2, 3]]
-    assert generals == [0, 3]
-
-
-def test_parse_ring_layout_errors():
-    with pytest.raises(PreconditionError, match="no general"):
-        parse_ring_layout("1,2,3")
-    with pytest.raises(PreconditionError, match="two generals"):
-        parse_ring_layout("1*,2*")
-    with pytest.raises(PreconditionError, match="bad ring cell"):
-        parse_ring_layout("1,x*")
-    with pytest.raises(PreconditionError, match="no rings"):
-        parse_ring_layout("  ")
 
 
 # ---------------------------------------------------------------------------
