@@ -4,7 +4,10 @@ Each builder returns an :class:`AlgorithmSpec` bundling everything a driver
 needs: the rule set, a fresh-initial-configuration factory, the natural stop
 rule, scheduled external events (used by one firing algorithm), an optional
 row annotator for text rendering, and a verification hook comparing an
-executed run against the bundled brute-force references.
+executed run against the bundled brute-force references.  Every builder,
+the firing ones too, makes its spec through ``_spec``: it checks that the
+data fit the topology and builds generation 0 afresh on each ``initial()``
+call.  ``_pow2_ring`` is the one check for entries that need n = 2^k cells.
 
 Catalog entries are registered in :data:`CATALOG` by name; the firing module
 adds its own entries on import.  An entry's parameters, with their defaults,
@@ -119,6 +122,42 @@ def execute(spec: AlgorithmSpec, stop: StopRule | None = None, **options) -> Run
         raise
 
 
+def _spec(
+    name: str,
+    topology: Topology,
+    ruleset: RuleSet,
+    data: Sequence,
+    pointers: Sequence[tuple] | tuple | None,
+    stop: StopRule,
+    verify: Callable[[AlgorithmSpec, RunResult], str | None],
+    **fields,
+) -> AlgorithmSpec:
+    """The one constructor of catalog specs.  Generation 0 holds ``data`` and
+    ``pointers`` (as :func:`gca.core.make_configuration` takes them) on
+    ``topology``, built afresh by every ``initial()`` call; ``fields`` are
+    the remaining :class:`AlgorithmSpec` fields."""
+    if len(data) != topology.n:
+        raise PreconditionError("data length mismatch")
+    return AlgorithmSpec(
+        name,
+        ruleset,
+        topology,
+        lambda: make_configuration(data, pointers, topology),
+        stop,
+        verify=verify,
+        **fields,
+    )
+
+
+def _pow2_ring(n: int, what: str) -> int:
+    """log2(n) for an entry that needs a ring of n = 2^k >= 2 cells."""
+    if not is_power_of_two(n) or n < 2:
+        raise PreconditionError(
+            f"{what} requires n to be a power of two (n >= 2), got n={n}"
+        )
+    return n.bit_length() - 1
+
+
 def _need_trace(result: RunResult) -> list[Configuration]:
     if result.trace is None or not result.trace.snapshots:
         raise PreconditionError("verification needs a run with recorded states")
@@ -152,8 +191,6 @@ def alg_max(
     init_data = (
         list(data) if data is not None else [(7 * i + 3) % (n + 5) for i in range(n)]
     )
-    if len(init_data) != n:
-        raise PreconditionError("data length mismatch")
 
     def data_rule(ctx):
         d = ctx.cell[0]
@@ -176,15 +213,10 @@ def alg_max(
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-    topo = Topology.ring(n)
-
-    def initial() -> Configuration:
-        return make_configuration(list(init_data), (1,), topo)
-
-    want = max(init_data)
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         final = result.config.data()
+        want = max(init_data)
         if pointer_variant in ("const", "inc", "double"):
             if any(d != want for d in final):
                 return f"expected all cells at max {want}, got {final}"
@@ -197,13 +229,8 @@ def alg_max(
             return f"max not preserved: {final}"
         return None
 
-    return AlgorithmSpec(
-        name="max",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(n - 1),
-        verify=verify,
+    return _spec(
+        "max", Topology.ring(n), ruleset, init_data, (1,), Steps(n - 1), verify
     )
 
 
@@ -226,16 +253,11 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
     ``avg`` runs the sum rule; the closing division happens only in the
     verification against the reference (the cells never divide).
     """
-    if not is_power_of_two(n) or n < 2:
-        raise PreconditionError(
-            f"reduction requires n to be a power of two (n >= 2), got n={n}"
-        )
+    k = _pow2_ring(n, "reduction")
     if op not in _REDUCE_FNS and op != "avg":
         raise PreconditionError(f"unknown reduction op {op!r}")
     fn = _REDUCE_FNS["sum" if op == "avg" else op]
     init_data = list(data) if data is not None else [1] * n
-    if len(init_data) != n:
-        raise PreconditionError("data length mismatch")
 
     def data_rule(ctx):  # fn(own, neighbour): a tie keeps the neighbour's value
         q = ctx.cell
@@ -247,11 +269,6 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-    topo = Topology.ring(n)
-    k = n.bit_length() - 1
-
-    def initial() -> Configuration:
-        return make_configuration(list(init_data), (1,), topo)
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         final = result.config.data()
@@ -267,14 +284,9 @@ def alg_reduce(n: int, op: str = "sum", data: Sequence | None = None) -> Algorit
             return "pointers did not close at 0"
         return None
 
-    return AlgorithmSpec(
-        name=f"reduce-{op}",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=FixedPoint(),
-        expected_steps=k,
-        verify=verify,
+    return _spec(
+        f"reduce-{op}", Topology.ring(n), ruleset, init_data, (1,), FixedPoint(),
+        verify, expected_steps=k,
     )
 
 
@@ -287,13 +299,8 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
     d_0 + ... + d_i.  The run must stop there: at p=0 the printed rule adds
     the cell's own value again.
     """
-    if not is_power_of_two(n) or n < 2:
-        raise PreconditionError(
-            f"prefix sums require n to be a power of two (n >= 2), got n={n}"
-        )
+    k = _pow2_ring(n, "prefix sums")
     init_data = list(data) if data is not None else [1] * n
-    if len(init_data) != n:
-        raise PreconditionError("data length mismatch")
 
     def data_rule(ctx):
         q = ctx.cell
@@ -305,11 +312,6 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-    topo = Topology.ring(n)
-    k = n.bit_length() - 1
-
-    def initial() -> Configuration:
-        return make_configuration(list(init_data), (-1,), topo)
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         want = oracles.oracle_scan(init_data)
@@ -318,14 +320,7 @@ def alg_prefix_sum_horn(n: int = 16, data: Sequence | None = None) -> AlgorithmS
             return f"prefix sums differ: {final} vs {want}"
         return None
 
-    return AlgorithmSpec(
-        name="horn",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(k),
-        verify=verify,
-    )
+    return _spec("horn", Topology.ring(n), ruleset, init_data, (-1,), Steps(k), verify)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +343,7 @@ def alg_bitonic_merge(
     step ahead (left half starts at +n/2, right half at -n/2); both runs
     commit identical data rows.
     """
-    if not is_power_of_two(n) or n < 2:
-        raise PreconditionError(
-            f"bitonic merge requires n to be a power of two (n >= 2), got n={n}"
-        )
+    k = _pow2_ring(n, "bitonic merge")
     if model not in ("general", "basic"):
         raise PreconditionError(f"unknown bitonic model {model!r}")
     init_data = list(data) if data is not None else _bitonic_default(n)
@@ -360,8 +352,6 @@ def alg_bitonic_merge(
     if not oracles.oracle_is_bitonic(init_data):
         raise PreconditionError(f"input sequence is not bitonic: {init_data}")
     half = n // 2
-    topo = Topology.ring(n)
-    k = n.bit_length() - 1
 
     if model == "general":
         def modifier(ctx):
@@ -388,9 +378,7 @@ def alg_bitonic_merge(
             pointer_rule=pointer_rule,
             address_modifier=modifier,
         )
-
-        def initial() -> Configuration:
-            return make_configuration(list(init_data), (half,), topo)
+        pointers = (half,)
 
     else:
         def data_rule(ctx):
@@ -413,12 +401,7 @@ def alg_bitonic_merge(
         ruleset = RuleSet(
             variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
         )
-
-        def initial() -> Configuration:
-            pointers = [
-                (half,) if (i & half) == 0 else (-half,) for i in range(n)
-            ]
-            return make_configuration(list(init_data), pointers, topo)
+        pointers = [(half,) if (i & half) == 0 else (-half,) for i in range(n)]
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         want = oracles.oracle_sort(init_data)
@@ -427,14 +410,8 @@ def alg_bitonic_merge(
             return f"not sorted: {final}"
         return None
 
-    return AlgorithmSpec(
-        name="bitonic" if model == "general" else "bitonic-basic",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(k),
-        verify=verify,
-    )
+    name = "bitonic" if model == "general" else "bitonic-basic"
+    return _spec(name, Topology.ring(n), ruleset, init_data, pointers, Steps(k), verify)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +454,7 @@ def _xor_torus(
     recorded generation with ``reference(grid, steps)``."""
     if n < 2:
         raise PreconditionError(f"torus side must be at least 2, got {n}")
-    topo = Topology.torus(n, n)
     init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
-
-    def initial() -> Configuration:
-        return make_configuration([v for row in init_grid for v in row], pointers, topo)
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
@@ -491,13 +464,9 @@ def _xor_torus(
                 return f"grid at t={t} differs from reference evolution"
         return None
 
-    return AlgorithmSpec(
-        name=name,
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        verify=verify,
+    data = [v for row in init_grid for v in row]
+    return _spec(
+        name, Topology.torus(n, n), ruleset, data, pointers, Steps(steps), verify
     )
 
 
@@ -687,7 +656,6 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         raise PreconditionError(f"unknown xor1d variant {variant!r}")
     if n < 3:
         raise PreconditionError(f"need at least 3 cells, got n={n}")
-    topo = Topology.ring(n)
     mid = n // 2
 
     def data_rule(ctx):
@@ -697,7 +665,6 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
     # sign of the stored second arm: basic stores -a, general stores a and
     # negates it at access time
     sign = -1 if variant == "basic" else 1
-    init_pointers = (1, sign)
 
     def pointer_rule(ctx):
         p1, p2 = ctx.cell[1]
@@ -728,9 +695,6 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
 
     init_row = [0] * n
     init_row[mid] = 1
-
-    def initial() -> Configuration:
-        return make_configuration(list(init_row), init_pointers, topo)
 
     def effective_arms(t: int, snaps: list[Configuration]) -> tuple[int, int]:
         # arms used by the step that produced row t (row 0: the coming step)
@@ -775,14 +739,9 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
                 return report
         return None
 
-    return AlgorithmSpec(
-        name=f"xor1d-{variant}",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(steps),
-        annotate=annotate,
-        verify=verify,
+    return _spec(
+        f"xor1d-{variant}", Topology.ring(n), ruleset, init_row, (1, sign),
+        Steps(steps), verify, annotate=annotate,
     )
 
 
@@ -806,9 +765,6 @@ def alg_fft(k: int = 3, values: Sequence[complex] | None = None) -> AlgorithmSpe
         if values is not None
         else [complex(j, 0) for j in range(n)]
     )
-    if len(vals) != n:
-        raise PreconditionError(f"need {n} input values for k={k}")
-    topo = Topology.ring(n)
 
     def pointer_function(i: int, q: CellState) -> tuple:
         _, _, step, pos = q.data
@@ -833,13 +789,6 @@ def alg_fft(k: int = 3, values: Sequence[complex] | None = None) -> AlgorithmSpe
         variant="plain", arms=1, data_rule=data_rule, pointer_function=pointer_function
     )
 
-    def initial() -> Configuration:
-        states = [
-            CellState((float(v.real), float(v.imag), 1, j), ())
-            for j, v in enumerate(vals)
-        ]
-        return Configuration(states, topo)
-
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         got = fft_result(result.config)
         want = oracles.oracle_fft_recurrence(vals, k)
@@ -856,14 +805,8 @@ def alg_fft(k: int = 3, values: Sequence[complex] | None = None) -> AlgorithmSpe
                 return f"spectrum of bit-reversed input differs: {a} vs {b}"
         return None
 
-    return AlgorithmSpec(
-        name="fft",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(k),
-        verify=verify,
-    )
+    data = [(float(v.real), float(v.imag), 1, j) for j, v in enumerate(vals)]
+    return _spec("fft", Topology.ring(n), ruleset, data, None, Steps(k), verify)
 
 
 def fft_result(cfg: Configuration) -> list[complex]:

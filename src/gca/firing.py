@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import Sequence
 
-from .algorithms import CATALOG, AlgorithmSpec, _need_trace, is_power_of_two
+from .algorithms import CATALOG, AlgorithmSpec, _need_trace, _pow2_ring, _spec
 from .core import (
     CellState,
     Configuration,
@@ -22,7 +22,6 @@ from .core import (
     RunResult,
     Steps,
     Topology,
-    make_configuration,
     normalize_relative,
 )
 
@@ -91,7 +90,6 @@ def firing_wave(
     if not (0 <= general_at < n):
         raise PreconditionError(f"general position {general_at} outside 0..{n-1}")
     S, G, F = FiringState.S, FiringState.G, FiringState.F
-    topo = Topology.ring(n)
 
     def pointer_rule(ctx):
         q = ctx.cell
@@ -115,11 +113,8 @@ def firing_wave(
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-
-    def initial() -> Configuration:
-        data = [S] * n
-        data[general_at] = G
-        return make_configuration(data, (-1,), topo)
+    data = [S] * n
+    data[general_at] = G
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
@@ -136,13 +131,8 @@ def firing_wave(
         return None
 
     horizon = steps if steps is not None else n + 2
-    return AlgorithmSpec(
-        name="fire-wave",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(horizon),
-        verify=verify,
+    return _spec(
+        "fire-wave", Topology.ring(n), ruleset, data, (-1,), Steps(horizon), verify
     )
 
 
@@ -184,7 +174,6 @@ def firing_rings(
         if g not in ring:
             raise PreconditionError(f"general {g} not a member of its ring")
     S, G, F = FiringState.S, FiringState.G, FiringState.F
-    topo = Topology.ring(n)
 
     def pointer_rule(ctx):
         q = ctx.cell
@@ -215,18 +204,15 @@ def firing_rings(
     )
     ring_list = [list(r) for r in rings]
     lengths = [len(r) for r in ring_list]
-
-    def initial() -> Configuration:
-        data = [S] * n
-        pointers = [(0, 0)] * n
-        for ring, g in zip(ring_list, generals):
-            L = len(ring)
-            for j, c in enumerate(ring):
-                left = ring[j - 1]
-                right = ring[(j + 1) % L]
-                pointers[c] = (-((c - left) % n), (right - c) % n)
-            data[g] = G
-        return make_configuration(data, pointers, topo)
+    data = [S] * n
+    pointers = [(0, 0)] * n
+    for ring, g in zip(ring_list, generals):
+        L = len(ring)
+        for j, c in enumerate(ring):
+            left = ring[j - 1]
+            right = ring[(j + 1) % L]
+            pointers[c] = (-((c - left) % n), (right - c) % n)
+        data[g] = G
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
@@ -247,13 +233,8 @@ def firing_rings(
         return None
 
     horizon = steps if steps is not None else 2 * max(lengths) + 2
-    return AlgorithmSpec(
-        name="fire-rings",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(horizon),
-        verify=verify,
+    return _spec(
+        "fire-rings", Topology.ring(n), ruleset, data, pointers, Steps(horizon), verify
     )
 
 
@@ -270,14 +251,9 @@ def firing_jump_v1(
     The pointer rule p' = (p + p*) mod n uses the plain mathematical modulus
     (the printed n=8 run keeps the value 4 rather than its window form -4).
     """
-    if not is_power_of_two(n) or n < 2:
-        raise PreconditionError(
-            f"pointer-jumping solution 1 requires n to be a power of two, got n={n}"
-        )
+    k = _pow2_ring(n, "pointer-jumping solution 1")
     if not (0 <= general_at < n):
         raise PreconditionError(f"general position {general_at} outside 0..{n-1}")
-    topo = Topology.ring(n)
-    k = n.bit_length() - 1
 
     def pointer_rule(ctx):
         return ((ctx.cell.pointers[0] + ctx.neighbors[0].pointers[0]) % n,)
@@ -295,11 +271,8 @@ def firing_jump_v1(
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-
-    def initial() -> Configuration:
-        data = [0] * n
-        data[general_at] = 1
-        return make_configuration(data, (1,), topo)
+    data = [0] * n
+    data[general_at] = 1
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
@@ -316,13 +289,8 @@ def firing_jump_v1(
         return None
 
     horizon = steps if steps is not None else k + 1
-    return AlgorithmSpec(
-        name="fire-jump1",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(horizon),
-        verify=verify,
+    return _spec(
+        "fire-jump1", Topology.ring(n), ruleset, data, (1,), Steps(horizon), verify
     )
 
 
@@ -382,7 +350,6 @@ def firing_jump_v2(
         raise PreconditionError(f"general position {general_at} outside 0..{n-1}")
     if introduce_at < 0:
         raise PreconditionError("general cannot be introduced before t=0")
-    topo = Topology.ring(n)
     N = next_power_of_two(n)
     logN = N.bit_length() - 1
 
@@ -405,9 +372,6 @@ def firing_jump_v2(
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule
     )
-
-    def initial() -> Configuration:
-        return make_configuration([0] * n, (start_p,), topo)
 
     def introduce(cfg: Configuration) -> None:
         q = cfg.states[general_at]
@@ -435,14 +399,9 @@ def firing_jump_v2(
             return compare_golden(trace_rows(snaps)[: len(golden.rows)], golden)
         return None
 
-    return AlgorithmSpec(
-        name="fire-jump2",
-        ruleset=ruleset,
-        topology=topo,
-        initial=initial,
-        stop=Steps(horizon),
-        events=((introduce_at, introduce),),
-        verify=verify,
+    return _spec(
+        "fire-jump2", Topology.ring(n), ruleset, [0] * n, (start_p,), Steps(horizon),
+        verify, events=((introduce_at, introduce),),
     )
 
 
