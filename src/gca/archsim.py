@@ -32,7 +32,7 @@ reads its lane's k copies together, so any collision there is one on S1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .algorithms import AlgorithmSpec
@@ -45,7 +45,8 @@ STAGES = ("Fetch", "Get", "Exe", "Write")
 @dataclass(frozen=True)
 class ArchParams:
     """Architecture parameters: n cells, k pointers per cell, p lanes,
-    delta data bits, T clock period.
+    delta data bits, and the cycles of each memory-set switch between
+    generations.
 
     k=0 is meaningful for the capacity formulas (pure double-buffered
     data); the pipeline simulators need k >= 1.
@@ -55,7 +56,6 @@ class ArchParams:
     k: int = 1
     p: int = 1
     delta: int = 8
-    T: float = 1.0
     switch_cost: int = 1
 
     def __post_init__(self):
@@ -192,12 +192,9 @@ def _check_hazards(events: list[PipelineEvent], params: ArchParams) -> list[str]
 def seq_pipeline_simulate(params: ArchParams, generations: int = 1) -> Schedule:
     """One-lane pipeline: one cell per cycle, n+3 cycles for a single
     generation, a new result every cycle in steady state regardless of k.
+    The ``p`` of ``params`` is ignored: the model runs one lane.
     """
-    if params.p != 1:
-        params = ArchParams(
-            params.n, params.k, 1, params.delta, params.T, params.switch_cost
-        )
-    return _simulate(params, generations)
+    return _simulate(replace(params, p=1), generations)
 
 
 def dpa_simulate(params: ArchParams, generations: int = 1) -> Schedule:

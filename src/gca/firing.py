@@ -10,7 +10,6 @@ firing ever - and afterwards the system returns to a quiescent regime.
 
 from __future__ import annotations
 
-from enum import IntEnum
 from typing import Sequence
 
 from .algorithms import CATALOG, AlgorithmSpec, _need_trace, _pow2_ring, _spec
@@ -26,17 +25,15 @@ from .core import (
 )
 
 
-class FiringState(IntEnum):
-    """Integer data coding shared by the firing algorithms.
+class FiringState:
+    """Integer data coding shared by the firing algorithms: plain ints, so a
+    state prints, hashes and round-trips through JSON as its number.
 
     ``A`` (attention) is used only by the second pointer-jumping solution;
     the first one codes its firing state as 2.
     """
 
-    S = 0
-    G = 1
-    A = 2
-    F = 3
+    S, G, A, F = 0, 1, 2, 3
 
 
 def _firing(snapshots, value, cells=None) -> tuple[list[int], int | None]:
@@ -55,18 +52,11 @@ def _firing(snapshots, value, cells=None) -> tuple[list[int], int | None]:
 
 
 def trace_rows(snapshots) -> list[str]:
-    """Render generations as 'p0 .. pn-1 | d0 .. dn-1' rows (golden format).
-
-    Enum states print as their numeric value (IntEnum str() varies across
-    Python versions).
-    """
-    def fmt(v) -> str:
-        return str(int(v)) if isinstance(v, int) else str(v)
-
+    """Render generations as 'p0 .. pn-1 | d0 .. dn-1' rows (golden format)."""
     rows = []
     for cfg in snapshots:
-        ps = " ".join(fmt(q.pointers[0]) for q in cfg.states)
-        ds = " ".join(fmt(q.data) for q in cfg.states)
+        ps = " ".join(str(q.pointers[0]) for q in cfg.states)
+        ds = " ".join(str(q.data) for q in cfg.states)
         rows.append(f"{ps} | {ds}")
     return rows
 

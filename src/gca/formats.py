@@ -133,12 +133,8 @@ def edges_csv(trace: Trace) -> str:
 # snapshot round-trip
 
 def snapshot_dump(cfg: Configuration, variant: str = "basic") -> str:
-    """Versioned JSON snapshot of one configuration.
-
-    Data values are stored as plain JSON: an ``IntEnum`` such as
-    ``FiringState`` is written as its number and a tuple as an array, with
-    nothing to record the original type.
-    """
+    """Versioned JSON snapshot of one configuration; a tuple is stored as an
+    array."""
     m = len(cfg.states[0].pointers) if cfg.states else 0
     doc = {
         "kind": "snapshot",
@@ -159,11 +155,7 @@ def _tuples(v: Any) -> Any:
 
 def snapshot_parse(text: str) -> tuple[Configuration, dict]:
     """Inverse of :func:`snapshot_dump`; returns (configuration, metadata).
-
-    Arrays come back as (nested) tuples and numbers as ``int`` or ``float``,
-    so an enum's type is lost: ``FiringState.S`` parses as ``0``.  The states
-    compare equal to the dumped ones, because an ``IntEnum`` equals its value.
-    """
+    Arrays come back as (nested) tuples."""
     header, _, body = text.partition("\n")
     if header != TRACE_HEADER:
         raise PreconditionError(f"snapshot missing {TRACE_HEADER!r} header")

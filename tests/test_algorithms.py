@@ -115,8 +115,6 @@ def test_max_guards():
     with pytest.raises(PreconditionError):
         alg_max(1)
     with pytest.raises(PreconditionError):
-        alg_max(8, data=[1, 2, 3])
-    with pytest.raises(PreconditionError):
         alg_max(8, pointer_variant="spiral")
 
 
@@ -861,6 +859,32 @@ def test_family_entries_take_only_their_options():
     spec = CATALOG["reduce-sum"](4, [1, 2, 3, 4])
     assert spec.name == "reduce-sum"
     assert execute(spec).config.data() == [10] * 4
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_initial_builds_a_fresh_configuration(name):
+    spec = default_instance(name)
+    a, b = spec.initial(), spec.initial()
+    assert (a.time, a.topology, b.time, b.topology) == (0, spec.topology, 0, spec.topology)
+    assert a.states == b.states
+    assert a is not b and a.states is not b.states
+    # in-place edits, as scheduled events make them, stay in their own copy
+    a.states[:] = [CellState(None, ())] * a.n
+    a.time = 7
+    assert b.states == spec.initial().states and b.time == 0
+
+
+DATA_ENTRIES = [
+    name for name in catalog_names() if "data" in inspect.signature(CATALOG[name]).parameters
+]
+
+
+@pytest.mark.parametrize("name", DATA_ENTRIES)
+def test_entries_reject_data_of_the_wrong_length(name):
+    n = default_instance(name).topology.n
+    for data in ([], [1, 2, 3], list(range(n + 1))):
+        with pytest.raises(PreconditionError, match="data length mismatch"):
+            CATALOG[name](data=data)
 
 
 def test_execute_honors_stop_override():

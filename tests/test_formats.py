@@ -164,12 +164,20 @@ def test_snapshot_round_trip_torus_pair_pointers():
     assert back.states == cfg.states
 
 
+def _typed(v):
+    """``v`` with the type of every part, nested parts included."""
+    if isinstance(v, (tuple, list)):
+        return type(v), tuple(map(_typed, v))
+    return type(v), v
+
+
 @pytest.mark.parametrize("name", catalog_names())
 def test_snapshot_round_trip_catalog_initial(name):
     spec = default_instance(name)
     cfg = spec.initial()
     back, _ = snapshot_parse(snapshot_dump(cfg, variant=spec.ruleset.variant))
     assert back.states == cfg.states
+    assert [_typed(q) for q in back.states] == [_typed(q) for q in cfg.states]
     assert {hash(q) for q in back.states}
 
 
