@@ -139,11 +139,11 @@ def _spec(
     if len(data) != topology.n:
         raise PreconditionError("data length mismatch")
     return AlgorithmSpec(
-        name,
-        ruleset,
-        topology,
-        lambda: make_configuration(data, pointers, topology),
-        stop,
+        name=name,
+        ruleset=ruleset,
+        topology=topology,
+        initial=lambda: make_configuration(data, pointers, topology),
+        stop=stop,
         verify=verify,
         **fields,
     )
