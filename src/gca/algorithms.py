@@ -455,6 +455,8 @@ def _xor_torus(
     if n < 2:
         raise PreconditionError(f"torus side must be at least 2, got {n}")
     init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
+    if len(init_grid) != n or any(len(row) != n for row in init_grid):
+        raise PreconditionError(f"grid must be {n} rows of {n} cells")
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)

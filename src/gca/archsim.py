@@ -107,19 +107,21 @@ class Schedule:
         return self.generations * self.params.n / self.total_cycles
 
 
-def _address_bits(n: int) -> int:
-    return max(0, (n - 1).bit_length())
-
-
-def _simulate(params: ArchParams, generations: int) -> Schedule:
+def _cycle_law(params: ArchParams, generations: int) -> tuple[int, int]:
+    """(total, switch) cycles of G generations: G*ceil(n/p) + 3 + switch*(G-1)."""
     if params.k < 1:
         raise PreconditionError("pipeline simulation needs k >= 1")
     if generations < 0:
         raise PreconditionError("generations cannot be negative")
+    switches = params.switch_cost * max(0, generations - 1)
+    slots = -(-params.n // params.p)
+    return (generations * slots + 3 + switches if generations else 0), switches
+
+
+def _simulate(params: ArchParams, generations: int) -> Schedule:
+    total, switches = _cycle_law(params, generations)
     n, p, sw = params.n, params.p, params.switch_cost
     slots = -(-n // p)
-    switches = sw * max(0, generations - 1)
-    total = generations * slots + 3 + switches if generations else 0
     # Slot t of the run (slot z of generation g is t = g*(slots+sw) + z) is
     # fetched at cycle t+1, read by Get at t+2, executed at t+3 and written
     # at t+4: cycle c finds them at feed[c+3], [c+2], [c+1] and [c].  A slot
@@ -210,13 +212,17 @@ def dpa_simulate(params: ArchParams, generations: int = 1) -> Schedule:
 # ---------------------------------------------------------------------------
 # capacity formulas
 
+def _memory_bits(params: ArchParams) -> int:
+    """Bits of one memory of n cells: n * (delta + k*ceil(log2 n))."""
+    if params.n < 2:
+        raise PreconditionError("capacity formula needs n >= 2")
+    return params.n * (params.delta + params.k * (params.n - 1).bit_length())
+
+
 def seq_memory_capacity(params: ArchParams) -> int:
     """Bits for the 2(k+1)-memory sequential design:
     2(k+1) * n * (delta + k*ceil(log2 n))."""
-    if params.n < 2:
-        raise PreconditionError("capacity formula needs n >= 2")
-    n, k = params.n, params.k
-    return 2 * (k + 1) * n * (params.delta + k * _address_bits(n))
+    return 2 * (params.k + 1) * _memory_bits(params)
 
 
 def dpa_memory_capacity(params: ArchParams) -> int:
@@ -226,18 +232,12 @@ def dpa_memory_capacity(params: ArchParams) -> int:
     With p=1 this equals seq_memory_capacity.  multiport_memory_capacity
     gives the idealized lower bound a 2kp-port memory would allow.
     """
-    if params.n < 2:
-        raise PreconditionError("capacity formula needs n >= 2")
-    n, k, p = params.n, params.k, params.p
-    return 2 * n * (k * p + 1) * (params.delta + k * _address_bits(n))
+    return 2 * (params.k * params.p + 1) * _memory_bits(params)
 
 
 def multiport_memory_capacity(params: ArchParams) -> int:
     """Idealized bound with true multiport memories: 2n(delta + k*ceil(log2 n))."""
-    if params.n < 2:
-        raise PreconditionError("capacity formula needs n >= 2")
-    n, k = params.n, params.k
-    return 2 * n * (params.delta + k * _address_bits(n))
+    return 2 * _memory_bits(params)
 
 
 def capacity_table(params: ArchParams) -> str:
@@ -273,7 +273,8 @@ def run_on_arch(
 ) -> tuple[Configuration, int]:
     """Run an algorithm on the cycle model: the functional result is
     :func:`~gca.core.run`'s synchronous result with the algorithm's events,
-    the cycle count comes from the schedule.
+    the cycle count comes from the cycle law (module docstring).  No schedule
+    is built here; :func:`dpa_simulate` builds and hazard-checks one.
 
     ``generations`` defaults to the algorithm's expected step count.  A rule
     failure names the algorithm, as in :func:`~gca.algorithms.execute`.
@@ -293,7 +294,7 @@ def run_on_arch(
         raise PreconditionError(
             f"architecture sized for n={arch.n}, algorithm uses n={spec.topology.n}"
         )
-    cycles = _simulate(arch, G).total_cycles
+    cycles, _ = _cycle_law(arch, G)
     try:
         return run(spec.initial(), spec.ruleset, Steps(G), events=spec.events).config, cycles
     except RuleEvaluationError as exc:

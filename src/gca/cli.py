@@ -290,23 +290,19 @@ def cmd_arch(args) -> int:
     if args.capacity:
         print(capacity_table(params), end="")
         return 0
+    G = args.generations
     if spec is not None:
-        generations = spec.expected_steps
-        final, cycles = run_on_arch(spec, params, generations)
-        engine = execute(spec, Steps(generations))
-        same = final.states == engine.config.states
+        G = spec.expected_steps
+        final, _ = run_on_arch(spec, params, G)
+        same = final.states == execute(spec, Steps(G)).config.states
         label = f"dpa({params.p})" if params.p > 1 else "seq"
-        print(f"{args.alg} n={n} on {label}: {generations} generations")
+        print(f"{args.alg} n={n} on {label}: {G} generations")
         print(f"engine-equal: {'yes' if same else 'NO'}")
         if not same:
             return 3
-        G = generations
-    else:
-        G = args.generations
     sim = dpa_simulate if params.p > 1 else seq_pipeline_simulate
     sched = sim(params, G)
-    slots = sched.slots
-    print(f"{slots + 3} cycles/generation (fill latency included)")
+    print(f"{sched.slots + 3} cycles/generation (fill latency included)")
     print(f"total: {sched.total_cycles} cycles = {sched.summary()}")
     out = _out_dir(args.out)
     os.makedirs(out, exist_ok=True)

@@ -887,6 +887,22 @@ def test_entries_reject_data_of_the_wrong_length(name):
             CATALOG[name](data=data)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[[1] * 8, [0] * 8], [[1] * 4] * 3, [[1] * 4, [0] * 4, [1] * 5, [0] * 3]],
+    ids=["2x8", "3-rows", "ragged"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [alg_xor2d, lambda n, **kw: alg_xor_plain(n, a=1, b=2, **kw)],
+    ids=["xor2d", "xor-plain"],
+)
+def test_torus_entries_reject_a_grid_of_the_wrong_shape(build, grid):
+    with pytest.raises(PreconditionError, match="grid must be 4 rows of 4 cells"):
+        build(4, grid=grid, steps=2)
+    build(4, grid=[[1] * 4, [0] * 4, [1] * 4, [0] * 4], steps=2)  # the right shape builds
+
+
 def test_execute_honors_stop_override():
     spec = alg_max(8)
     res = execute(spec, stop=Steps(2))

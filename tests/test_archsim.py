@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gca import GcaError, PreconditionError, RuleEvaluationError, Steps
-from gca.algorithms import alg_prefix_sum_horn, alg_reduce
+from gca.algorithms import alg_max, alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
     PipelineEvent,
@@ -415,6 +415,24 @@ def test_run_on_arch_names_the_algorithm_in_rule_failures():
     err = exc.value
     assert (err.algorithm, err.cell, err.time) == ("reduce-sum", 0, 0)
     assert str(err).startswith("reduce-sum: rule evaluation failed at cell 0, t=0")
+
+
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(0, 3), st.integers(0, 4))
+    )
+)
+def test_run_on_arch_cycles_match_reference_schedule(point):
+    n, p, switch_cost, generations = point
+    params = ArchParams(n=n, k=1, p=p, switch_cost=switch_cost)
+    events, _, _ = reference_schedule(params, generations)
+    _, cycles = run_on_arch(alg_max(n), params, generations)
+    assert cycles == (events[-1].cycle if generations else 0)
+
+
+def test_run_on_arch_rejects_negative_generations():
+    with pytest.raises(PreconditionError, match="^generations cannot be negative$"):
+        run_on_arch(alg_max(8), ArchParams(n=8, k=1), generations=-1)
 
 
 def test_run_on_arch_zero_generations():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gca import CATALOG, Steps, catalog_names, cli, execute, formats
+from gca import CATALOG, Steps, archsim, catalog_names, cli, execute, formats
 from gca.algorithms import alg_max
 from gca.cli import FORMAT_CHOICES, OUT_DIR_ENV, STOP_CHOICES, RunConfig, main
 from gca.oracles import load_golden
@@ -231,6 +231,21 @@ def test_arch_workload(outdir, capsys):
     out = capsys.readouterr().out
     assert "engine-equal: yes" in out
     assert "total: 29 cycles = 24 cycles + 3 latency + 2 switches" in out
+
+
+def test_arch_workload_builds_one_schedule(tmp_path, monkeypatch, capsys):
+    calls = []
+    simulate = archsim._simulate
+
+    def counted(params, generations):
+        calls.append((params, generations))
+        return simulate(params, generations)
+
+    monkeypatch.setattr(archsim, "_simulate", counted)
+    argv = ["arch", "--seq", "--alg", "horn", "--n", "32", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "engine-equal: yes" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_arch_unknown_alg(capsys):
