@@ -446,27 +446,29 @@ def _xor_torus(
     steps: int,
     ruleset: RuleSet,
     pointers: tuple | None,
-    reference: Callable[[list[list[int]], int], list[list[list[int]]]],
+    reference: Callable[[list[list[int]], int], list[bytes]],
 ) -> AlgorithmSpec:
     """The scaffold every torus XOR entry shares: an n x n torus starting
-    from ``grid`` (a centred cross by default), every cell holding
-    ``pointers``, run for ``steps`` generations.  Verification compares each
-    recorded generation with ``reference(grid, steps)``."""
+    from ``grid`` of 0s and 1s (a centred cross by default), every cell
+    holding ``pointers``, run for ``steps`` generations.  Verification compares
+    each recorded generation, as ``bytes``, with ``reference(grid, steps)``."""
     if n < 2:
         raise PreconditionError(f"torus side must be at least 2, got {n}")
     init_grid = [list(r) for r in grid] if grid is not None else cross_grid(n, n)
     if len(init_grid) != n or any(len(row) != n for row in init_grid):
         raise PreconditionError(f"grid must be {n} rows of {n} cells")
+    data = [v for row in init_grid for v in row]
+    if not set(data) <= {0, 1}:
+        raise PreconditionError("grid cells must be 0 or 1")
 
     def verify(spec: AlgorithmSpec, result: RunResult) -> str | None:
         snaps = _need_trace(result)
         history = reference(init_grid, result.steps)
         for t, snap in enumerate(snaps):
-            if snap.grid() != history[t]:
+            if bytes(snap.data()) != history[t]:
                 return f"grid at t={t} differs from reference evolution"
         return None
 
-    data = [v for row in init_grid for v in row]
     return _spec(
         name, Topology.torus(n, n), ruleset, data, pointers, Steps(steps), verify
     )
@@ -491,13 +493,6 @@ def xor2d_pointer_step(rule: str, p: int, n: int) -> int:
         v = (3 * p) % n
         return v if v != 0 else 1
     raise PreconditionError(f"unknown xor2d rule {rule!r}")
-
-
-def xor2d_pointer_sequence(rule: str, n: int, steps: int) -> list[int]:
-    seq = [1]
-    for _ in range(steps):
-        seq.append(xor2d_pointer_step(rule, seq[-1], n))
-    return seq
 
 
 _TIMEDEP_RULES = ("tB", "tC", "tD", "tE")
@@ -553,16 +548,12 @@ def alg_xor2d(
       the others diagonally, all at a fixed distance 1, 2 or 3.
     """
     # The modifiers share one effective-address tuple per stored pointer, t
-    # parity or cell colour.  The verify references (``arms(k)``) build their
-    # own tuples from the helpers, once per generation or cell, not per read.
+    # parity or cell colour.  Verify takes its arms from ``oracles.torus_arms``,
+    # which states them apart from the helpers these rules call.
     if rule in _XOR2D_RULES:
         modifier = ByPointer(_nesw)
         pointer_rule = ByPointer(lambda p: (xor2d_pointer_step(rule, p, n),))
         pointers = (1,)
-
-        def arms(k: int):
-            offs = [_nesw(p) for p in xor2d_pointer_sequence(rule, n, k)]
-            return lambda t, x, y: offs[t]
     elif rule in _TIMEDEP_RULES:
         even, odd = (_nesw(*timedep_arm_lengths(rule, t)) for t in (0, 1))
 
@@ -571,10 +562,6 @@ def alg_xor2d(
 
         pointer_rule = ByPointer(_keep)
         pointers = (1,)
-
-        def arms(k: int):
-            offs = [_nesw(*timedep_arm_lengths(rule, t)) for t in range(k)]
-            return lambda t, x, y: offs[t]
     elif rule in _SPACEDEP_RULES:
         even, odd = spacedep_offsets(rule, 0, 0), spacedep_offsets(rule, 1, 0)
 
@@ -584,17 +571,6 @@ def alg_xor2d(
 
         pointer_rule = ByPointer(_keep)
         pointers = (_SPACEDEP_RULES[rule],)
-
-        def arms(k: int):
-            # one call per cell; cells with equal offsets share one tuple
-            distinct: dict = {}
-
-            def at(x: int, y: int) -> tuple:
-                o = spacedep_offsets(rule, x, y)
-                return distinct.setdefault(o, o)
-
-            offs = [[at(x, y) for x in range(n)] for y in range(n)]
-            return lambda t, x, y: offs[y][x]
     else:
         raise PreconditionError(f"unknown xor2d rule {rule!r}")
 
@@ -605,10 +581,12 @@ def alg_xor2d(
         pointer_rule=pointer_rule,
         address_modifier=modifier,
     )
-    return _xor_torus(
-        f"xor2d-{rule}", n, grid, steps, ruleset, pointers,
-        lambda g, k: oracles.xor_evolution(n, n, g, arms(k), k),
-    )
+
+    def reference(g: list[list[int]], k: int) -> list[bytes]:
+        table = oracles.torus_arms(rule, n, k)
+        return oracles.xor_evolution(n, n, g, lambda t, colour, bit: table[t][colour], k)
+
+    return _xor_torus(f"xor2d-{rule}", n, grid, steps, ruleset, pointers, reference)
 
 
 def alg_xor_plain(
@@ -637,9 +615,10 @@ def alg_xor_plain(
         data_rule=_xor4_data_rule,
         pointer_function=pointer_function,
     )
+    reads = [((0, -p), (p, 0), (0, p), (-p, 0)) for p in (a, b)]  # not the rule's tuples
     return _xor_torus(
         "xor-plain", n, grid, steps, ruleset, None,
-        lambda g, k: oracles.plain_xor_evolution(n, g, a, b, k),
+        lambda g, k: oracles.xor_evolution(n, n, g, lambda t, colour, bit: reads[bit], k),
     )
 
 
@@ -719,12 +698,12 @@ def alg_xor1d(variant: str = "basic", n: int = 31, steps: int = 5) -> AlgorithmS
         for _ in range(result.steps):
             arms.append((2 * arms[-1]) % n or 1)
 
-        def offsets(t: int, x: int, y: int):
-            return ((arms[t], 0), (-arms[t], 0))
-
-        history = oracles.xor_evolution(n, 1, [init_row], offsets, result.steps)
+        history = oracles.xor_evolution(
+            n, 1, [init_row], lambda t, colour, bit: ((arms[t], 0), (-arms[t], 0)),
+            result.steps,
+        )
         for t, snap in enumerate(snaps):
-            if history[t][0] != snap.data():
+            if history[t] != bytes(snap.data()):
                 return f"data row t={t} differs from reference evolution"
             # the arm n/2 clears every cell, so only the stored pointers show
             # the re-seed that follows it

@@ -291,8 +291,9 @@ def cmd_arch(args) -> int:
         print(capacity_table(params), end="")
         return 0
     G = args.generations
+    if G is None:
+        G = spec.expected_steps if spec is not None else 1
     if spec is not None:
-        G = spec.expected_steps
         final, _ = run_on_arch(spec, params, G)
         same = final.states == execute(spec, Steps(G)).config.states
         label = f"dpa({params.p})" if params.p > 1 else "seq"
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     arch_p.add_argument("--n", type=int, help="cell count")
     arch_p.add_argument("--k", type=int, help="pointers per cell")
     arch_p.add_argument("--delta", type=int, default=8, help="data bits per cell")
-    arch_p.add_argument("--generations", type=int, default=1)
+    arch_p.add_argument("--generations", type=int, help="default: the workload's, else 1")
     arch_p.add_argument("--alg", help="workload from the catalog")
     arch_p.add_argument("--capacity", action="store_true", help="capacity table only")
     arch_p.add_argument("--out", help="output directory for the schedule CSV")

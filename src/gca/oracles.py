@@ -1,11 +1,19 @@
 """Brute-force reference computations and golden-trace handling.
 
-Everything here is deliberately naive and independent of the stepping engine:
-results are produced by direct definitions (folds, O(n^2) transforms, nested
-grid loops) so that engine output can be checked against a second route.  The
-single exception is :func:`oracle_fft_recurrence`, which replays the per-cell
-butterfly recurrence with its own double-buffered loop to give a bit-exact
-reference for the engine's arithmetic.
+Everything here is independent of the stepping engine, and all but the torus
+XOR references are deliberately naive: results come from direct definitions
+(folds, O(n^2) transforms) so that engine output is checked by a second route.
+:func:`oracle_fft_recurrence` replays the per-cell butterfly recurrence with
+its own double-buffered loop to give a bit-exact reference for the engine's
+arithmetic.
+
+The torus XOR references avoid the engine's per-cell address arithmetic, so
+a rule that reads the wrong cells disagrees with them.  :func:`torus_arms`
+states each rule's arms from its definition, calling no ``algorithms`` helper.
+:func:`xor_evolution` holds a grid row as one int with a byte per cell: arm
+(dx, dy) turns row ``(y + dy) mod h`` right by ``dx mod w`` bytes, and XORing
+the turned rows gives a whole row's parities at once.  Generations come back
+as row-major ``bytes``, compared with ``bytes(snapshot.data())`` directly.
 """
 
 from __future__ import annotations
@@ -189,82 +197,85 @@ def discover_output_permutation(
 
 
 # ---------------------------------------------------------------------------
-# naive XOR evolvers
+# torus XOR references
+
+# r1..r8r: p <- (mul * p + add) mod n from p = 1, where 0 gives ``zero``
+_COMMON_LENGTH = {
+    "r1": (1, 0, 1), "r2": (1, 1, 1), "r3": (1, 2, 1), "r4": (1, 3, 1), "r5": (1, 4, 1),
+    "r6": (1, 5, 1), "r7": (2, 0, 0), "r8": (3, 0, 0), "r8r": (3, 0, 1),
+}
+# tB..tE: (px, py) on even and on odd generations
+_ALTERNATING = {
+    "tB": ((1, 1), (2, 2)), "tC": ((1, 1), (3, 3)), "tD": ((1, 1), (4, 4)), "tE": ((1, 3), (3, 1)),
+}
+_CHECKERBOARD = {"sF": 1, "sG": 2, "sH": 3}  # orthogonal if even colour, else diagonal
+
+
+def torus_arms(rule: str, n: int, steps: int) -> list[tuple[tuple, tuple]]:
+    """The torus XOR rule ``rule`` on an n x n torus, as defined: entry t is
+    ``(even, odd)``, the (dx, dy) arms that cells of colour ``(x + y) & 1`` 0
+    and 1 read in the step from generation t, in the rule's order (N, E, S, W;
+    diagonals NE, SE, SW, NW)."""
+    if rule in _CHECKERBOARD:
+        p = _CHECKERBOARD[rule]
+        return [(((0, -p), (p, 0), (0, p), (-p, 0)), ((p, -p), (p, p), (-p, p), (-p, -p)))] * steps
+    if rule in _ALTERNATING:
+        lengths = [_ALTERNATING[rule][t & 1] for t in range(steps)]
+    elif rule in _COMMON_LENGTH:
+        (mul, add, zero), lengths, p = _COMMON_LENGTH[rule], [], 1
+        for _ in range(steps):
+            lengths.append((p, p))
+            p = (mul * p + add) % n or zero
+    else:
+        raise ValueError(f"unknown torus XOR rule {rule!r}")
+    return [(a, a) for a in (((0, -py), (px, 0), (0, py), (-px, 0)) for px, py in lengths)]
+
 
 def xor_evolution(
     width: int,
     height: int,
     grid: Sequence[Sequence[int]],
-    offsets_at: Callable[[int, int, int], Sequence[tuple[int, int]]],
+    arms_at: Callable[[int, int, int], Sequence[tuple[int, int]]],
     steps: int,
-) -> list[list[list[int]]]:
-    """Evolve a binary torus grid by parity of the listed neighbor cells.
+) -> list[bytes]:
+    """Evolve a binary torus grid by the parity of the cells each cell reads.
 
-    ``offsets_at(t, x, y)`` yields the relative offsets read by cell (x, y)
-    during the step from generation t.  Returns all generations 0..steps.
+    ``arms_at(t, colour, bit)`` gives the (dx, dy) offsets that a cell of
+    colour ``(x + y) & 1`` holding ``bit`` reads in the step from generation
+    t.  Returns generations 0..steps, each as row-major ``bytes``.
     """
-    cur = [list(row) for row in grid]
-    history = [[list(row) for row in cur]]
+    lines = [bytes(row) for row in grid]
+    data = b"".join(lines)
+    if len(lines) != height or {len(r) for r in lines} != {width} or data.translate(None, b"\0\1"):
+        raise ValueError(f"need {height} rows of {width} cells, each 0 or 1")
+    rows = [int.from_bytes(r, "little") for r in lines]
+    stripes = b"\0\1" * (width + 1)  # odd-colour lanes: 1 where (x + y) & 1
+    odd = [int.from_bytes(stripes[y & 1 : width + (y & 1)], "little") for y in range(height)]
+    history = [data]
     for t in range(steps):
-        nxt = [[0] * width for _ in range(height)]
-        for y in range(height):
-            for x in range(width):
-                acc = 0
-                for dx, dy in offsets_at(t, x, y):
-                    acc += cur[(y + dy) % height][(x + dx) % width]
-                nxt[y][x] = acc % 2
-        cur = nxt
-        history.append([list(row) for row in cur])
+        keys = [tuple(arms_at(t, colour, bit)) for bit in (0, 1) for colour in (0, 1)]
+        planes = {key: _parity_rows(rows, key, width) for key in set(keys)}
+        even0, odd0, even1, odd1 = (planes[key] for key in keys)
+        rows = _merge(_merge(even0, odd0, odd), _merge(even1, odd1, odd), rows)
+        history.append(b"".join(r.to_bytes(width, "little") for r in rows))
     return history
 
 
-def plain_xor_evolution(
-    n: int, grid: Sequence[Sequence[int]], a: int, b: int, steps: int
-) -> list[list[list[int]]]:
-    """State-dependent variant: a cell at 0 reads at distance ``a``, at 1
-    distance ``b``, taking the parity of its four orthogonal targets."""
-    cur = [list(row) for row in grid]
-    history = [[list(row) for row in cur]]
-    for _ in range(steps):
-        nxt = [[0] * n for _ in range(n)]
-        for y in range(n):
-            for x in range(n):
-                p = a if cur[y][x] == 0 else b
-                acc = (
-                    cur[(y - p) % n][x]
-                    + cur[y][(x + p) % n]
-                    + cur[(y + p) % n][x]
-                    + cur[y][(x - p) % n]
-                )
-                nxt[y][x] = acc % 2
-        cur = nxt
-        history.append([list(row) for row in cur])
-    return history
+def _parity_rows(rows: list[int], arms: tuple, width: int) -> list[int]:
+    """Cell x of row y XORs cells ``((x + dx) mod width, (y + dy) mod height)``
+    over ``arms``: each arm turns a whole row right by ``dx mod width`` lanes."""
+    lane = 8 * width
+    out = [0] * len(rows)
+    for dx, dy in arms:
+        s, k = 8 * (dx % width), dy % len(rows)
+        out = [o ^ (r >> s) ^ (r << lane - s) for o, r in zip(out, rows[k:] + rows[:k])]
+    full = (1 << lane) - 1
+    return [o & full for o in out]
 
 
-def oracle_xor_linear_check(
-    evolve: Callable[[list[list[int]], int], list[list[list[int]]]],
-    init1: Sequence[Sequence[int]],
-    init2: Sequence[Sequence[int]],
-    steps: int,
-) -> bool:
-    """Superposition test: evolve(i1 xor i2) == evolve(i1) xor evolve(i2).
-
-    ``evolve(grid, steps)`` is supplied by the caller and must return all
-    generations.  Only evolutions whose reads do not depend on the states
-    are linear; a state-dependent rule (xor-plain) generally fails it.
-    """
-    both = [
-        [c1 ^ c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(init1, init2)
-    ]
-    h1 = evolve([list(r) for r in init1], steps)
-    h2 = evolve([list(r) for r in init2], steps)
-    hb = evolve(both, steps)
-    for g1, g2, gb in zip(h1, h2, hb):
-        for r1, r2, rb in zip(g1, g2, gb):
-            if [c1 ^ c2 for c1, c2 in zip(r1, r2)] != rb:
-                return False
-    return True
+def _merge(a: list[int], b: list[int], sel: list[int]) -> list[int]:
+    """Per row and byte lane: ``b`` where ``sel`` holds 1, else ``a``."""
+    return a if a is b else [x ^ ((x ^ y) & s) for x, y, s in zip(a, b, sel)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from gca import (
     RuleSet,
     StepLimitError,
     Steps,
+    algorithms,
     catalog_names,
     default_instance,
     execute,
@@ -40,7 +41,6 @@ from gca.algorithms import (
     spacedep_offsets,
     timedep_arm_lengths,
     trunc_mod,
-    xor2d_pointer_sequence,
     xor2d_pointer_step,
 )
 from gca.firing import FiringState
@@ -52,8 +52,8 @@ from gca.oracles import (
     oracle_reduce,
     oracle_scan,
     oracle_sort,
-    oracle_xor_linear_check,
-    plain_xor_evolution,
+    torus_arms,
+    xor_evolution,
 )
 
 
@@ -325,20 +325,36 @@ def test_bitonic_rejects_non_bitonic():
 # ---------------------------------------------------------------------------
 # 2D XOR family
 
+def arm_lengths(rule, n, generations):
+    """The common arm length p of rules r1..r8r in the oracle's arm table,
+    read from the east arm (p, 0) of generations 0..generations-1."""
+    lengths = []
+    for even, odd in torus_arms(rule, n, generations):
+        p = even[1][0]
+        assert even == odd == ((0, -p), (p, 0), (0, p), (-p, 0))
+        lengths.append(p)
+    return lengths
+
+
 def test_xor2d_pointer_orbits():
-    assert xor2d_pointer_sequence("r1", 32, 4) == [1, 1, 1, 1, 1]
-    assert xor2d_pointer_sequence("r2", 32, 4) == [1, 2, 3, 4, 5]
-    assert xor2d_pointer_sequence("r7", 32, 6) == [1, 2, 4, 8, 16, 0, 0]
-    assert xor2d_pointer_sequence("r8", 32, 6) == [1, 3, 9, 27, 17, 19, 25]
+    assert arm_lengths("r1", 32, 5) == [1, 1, 1, 1, 1]
+    assert arm_lengths("r2", 32, 5) == [1, 2, 3, 4, 5]
+    assert arm_lengths("r5", 8, 5) == [1, 5, 1, 5, 1]  # 1 + 4 + 4 wraps to 1
+    assert arm_lengths("r6", 6, 4) == [1, 1, 1, 1]  # 1 + 5 wraps to 0, which restarts at 1
+    assert arm_lengths("r7", 32, 7) == [1, 2, 4, 8, 16, 0, 0]
+    assert arm_lengths("r8", 32, 7) == [1, 3, 9, 27, 17, 19, 25]
     # re-seeded tripling never lands on the zero sink
-    assert xor2d_pointer_sequence("r8r", 27, 4) == [1, 3, 9, 1, 3]
-    assert xor2d_pointer_sequence("r8", 27, 4) == [1, 3, 9, 0, 0]
+    assert arm_lengths("r8r", 27, 5) == [1, 3, 9, 1, 3]
+    assert arm_lengths("r8", 27, 5) == [1, 3, 9, 0, 0]
+    assert torus_arms("r3", 8, 0) == []
+    with pytest.raises(ValueError, match="'r9'"):
+        torus_arms("r9", 8, 2)
 
 
 def test_xor2d_engine_pointer_matches_sequence():
     res = execute(alg_xor2d(32, "r5", steps=8), record_states=True)
     got = [s.states[0].pointers[0] for s in res.trace.snapshots]
-    assert got == xor2d_pointer_sequence("r5", 32, 8)
+    assert got == arm_lengths("r5", 32, 9)
 
 
 def first_zero_generation(res):
@@ -376,9 +392,9 @@ LINEAR_FAMILIES = tuple(f"xor2d-{r}" for r in TORUS_RULES) + (
 
 
 def engine_evolution(name, n):
-    """``evolve(grid, steps)``: every generation the engine computes for the
-    catalog family ``name`` of side ``n`` started from ``grid`` (one row for
-    xor1d, whose builder takes no data)."""
+    """``evolve(grid, steps)``: every generation's data, row-major, that the
+    engine computes for the catalog family ``name`` of side ``n`` started
+    from ``grid`` (one row for xor1d, whose builder takes no data)."""
     if name.startswith("xor1d"):
         spec = CATALOG[name](n=n)
         pointers = spec.initial().states[0].pointers
@@ -386,11 +402,11 @@ def engine_evolution(name, n):
         def evolve(grid, steps):
             cfg = make_configuration(list(grid[0]), pointers, spec.topology)
             res = run(cfg, spec.ruleset, Steps(steps), record_states=True)
-            return [[s.data()] for s in res.trace.snapshots]
+            return [s.data() for s in res.trace.snapshots]
     else:
         def evolve(grid, steps):
             res = execute(CATALOG[name](n, grid=grid, steps=steps), record_states=True)
-            return [s.grid() for s in res.trace.snapshots]
+            return [s.data() for s in res.trace.snapshots]
     return evolve
 
 
@@ -407,11 +423,21 @@ def linear_cases(draw):
     return name, n, draw(grids), draw(grids), draw(st.integers(0, 6))
 
 
+def superposes(evolve, g1, g2, steps):
+    """The evolution of g1 xor g2 is the xor of the two evolutions.  Only
+    evolutions whose reads do not depend on the states are linear; a
+    state-dependent rule (xor-plain) generally is not."""
+    both = [[c1 ^ c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
+    h1, h2, hb = (evolve([list(r) for r in g], steps) for g in (g1, g2, both))
+    return all(
+        [c1 ^ c2 for c1, c2 in zip(a, b)] == list(ab) for a, b, ab in zip(h1, h2, hb)
+    )
+
+
 @given(linear_cases())
 def test_xor2d_linearity(case):
-    # superposition: the evolution of g1 xor g2 is the xor of the evolutions
     name, n, g1, g2, steps = case
-    assert oracle_xor_linear_check(engine_evolution(name, n), g1, g2, steps)
+    assert superposes(engine_evolution(name, n), g1, g2, steps)
 
 
 def shifted(grid, dx, dy):
@@ -438,42 +464,12 @@ def shift_cases(draw):
 def test_xor2d_translation_equivariance(case):
     rule, n, grid, dx, dy, steps = case
     evolve = engine_evolution(f"xor2d-{rule}", n)
+
+    def rows(g):
+        return [g[y * n : (y + 1) * n] for y in range(n)]
+
     for g, gs in zip(evolve(grid, steps), evolve(shifted(grid, dx, dy), steps)):
-        assert gs == shifted(g, dx, dy)
-
-
-def closed_form_reads(rule, n, t, x, y):
-    """The offsets (N, E, S, W order; diagonals NE, SE, SW, NW) that cell
-    (x, y) reads in the step from generation t, as the rules are stated, or
-    None where no closed form is stated."""
-    if rule == "r1":
-        p = 1
-    elif rule in ("r2", "r3", "r4", "r5", "r6"):
-        p = 1 + (int(rule[1]) - 1) * t
-        if p >= n:  # past the first wrap
-            return None
-    elif rule == "r7":
-        p = pow(2, t, n)
-    elif rule == "r8":
-        p = pow(3, t, n)
-    elif rule == "r8r":
-        # tripling restarts from 1 instead of reaching 0, which happens
-        # only when n is a power of three
-        period = next((j for j in range(1, n) if pow(3, j, n) == 0), None)
-        p = pow(3, t % period if period else t, n)
-    elif rule.startswith("t"):
-        px, py = {
-            "tB": ((1, 1), (2, 2)),
-            "tC": ((1, 1), (3, 3)),
-            "tD": ((1, 1), (4, 4)),
-            "tE": ((1, 3), (3, 1)),
-        }[rule][t % 2]
-        return ((0, -py), (px, 0), (0, py), (-px, 0))
-    else:
-        p = {"sF": 1, "sG": 2, "sH": 3}[rule]
-        if (x + y) % 2:
-            return ((p, -p), (p, p), (-p, p), (-p, -p))
-    return ((0, -p), (p, 0), (0, p), (-p, 0))
+        assert rows(gs) == shifted(rows(g), dx, dy)
 
 
 @pytest.mark.parametrize("rule", TORUS_RULES)
@@ -485,11 +481,10 @@ def test_xor2d_read_distances_from_access_edges(rule):
             reads = defaultdict(list)
             for i, j in edges:
                 reads[i].append(((j - i) % n, (j // n - i // n) % n))
+            arms = torus_arms(rule, n, steps)[t]
             for i in range(n * n):
-                want = closed_form_reads(rule, n, t, i % n, i // n)
-                if want is not None:
-                    got = reads[i]
-                    assert got == [(dx % n, dy % n) for dx, dy in want], (n, t, i)
+                want = arms[(i % n + i // n) & 1]
+                assert reads[i] == [(dx % n, dy % n) for dx, dy in want], (n, t, i)
 
 
 def test_cross_grid():
@@ -551,6 +546,45 @@ def test_variable_rules_match_reference():
         checked(CATALOG[name](n=8, grid=grid, steps=6))
 
 
+def verify_message(name):
+    """The verify verdict on the default instance of catalog entry ``name``."""
+    spec = default_instance(name)
+    return spec.verify(spec, execute(spec, record_states=True))
+
+
+# Each mutation goes through the helper that the rule itself calls, so a
+# verify that took its arms from those helpers would accept it.
+
+def test_xor2d_verify_rejects_r5_stepping_by_3(monkeypatch):
+    step = algorithms.xor2d_pointer_step
+    monkeypatch.setattr(
+        algorithms, "xor2d_pointer_step",
+        lambda rule, p, n: ((p + 3) % n or 1) if rule == "r5" else step(rule, p, n),
+    )
+    assert verify_message("xor2d-r5") == "grid at t=2 differs from reference evolution"
+    assert verify_message("xor2d-r4") is None  # r4 steps by 3 and is untouched
+
+
+def test_xor2d_verify_rejects_te_with_swapped_axes(monkeypatch):
+    lengths = algorithms.timedep_arm_lengths
+    monkeypatch.setattr(
+        algorithms, "timedep_arm_lengths",
+        lambda rule, t: lengths(rule, t)[::-1] if rule == "tE" else lengths(rule, t),
+    )
+    assert verify_message("xor2d-tE") is not None
+    assert verify_message("xor2d-tB") is None
+
+
+def test_xor2d_verify_rejects_sg_reading_diagonally_on_even_cells(monkeypatch):
+    offsets = algorithms.spacedep_offsets
+    monkeypatch.setattr(
+        algorithms, "spacedep_offsets",
+        lambda rule, x, y: offsets(rule, 1, 0) if rule == "sG" else offsets(rule, x, y),
+    )
+    assert verify_message("xor2d-sG") is not None
+    assert verify_message("xor2d-sF") is None
+
+
 # ---------------------------------------------------------------------------
 # unstructured-model XOR
 
@@ -559,8 +593,13 @@ def test_xor_plain_dual_route():
     n = 12
     grid = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
     res = checked(alg_xor_plain(n, a=4, b=2, grid=grid, steps=8))
-    want = plain_xor_evolution(n, grid, 4, 2, 8)
-    got = [s.grid() for s in res.trace.snapshots]
+
+    def arms_at(t, colour, bit):
+        p = 2 if bit else 4
+        return ((p, 0), (-p, 0), (0, p), (0, -p))
+
+    want = xor_evolution(n, n, grid, arms_at, 8)
+    got = [bytes(s.data()) for s in res.trace.snapshots]
     assert got == want
 
 
@@ -901,6 +940,18 @@ def test_torus_entries_reject_a_grid_of_the_wrong_shape(build, grid):
     with pytest.raises(PreconditionError, match="grid must be 4 rows of 4 cells"):
         build(4, grid=grid, steps=2)
     build(4, grid=[[1] * 4, [0] * 4, [1] * 4, [0] * 4], steps=2)  # the right shape builds
+
+
+@pytest.mark.parametrize("value", [2, -1, "1"])
+@pytest.mark.parametrize(
+    "build",
+    [alg_xor2d, lambda n, **kw: alg_xor_plain(n, a=1, b=2, **kw)],
+    ids=["xor2d", "xor-plain"],
+)
+def test_torus_entries_reject_cells_other_than_0_or_1(build, value):
+    grid = [[0, 1, 0, 1], [1, 0, value, 0], [0, 0, 0, 0], [1, 1, 1, 1]]
+    with pytest.raises(PreconditionError, match="grid cells must be 0 or 1"):
+        build(4, grid=grid, steps=2)
 
 
 def test_execute_honors_stop_override():

@@ -248,6 +248,18 @@ def test_arch_workload_builds_one_schedule(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_arch_workload_takes_explicit_generations(outdir, capsys):
+    # horn at n=8 runs 3 generations by itself; --generations overrides that
+    assert main(["arch", "--seq", "--alg", "horn", "--n", "8", "--generations", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "horn n=8 on seq: 7 generations" in out
+    assert "total: 65 cycles = 56 cycles + 3 latency + 6 switches" in out
+    assert main(["arch", "--seq", "--alg", "horn", "--n", "8"]) == 0
+    assert "horn n=8 on seq: 3 generations" in capsys.readouterr().out
+    assert main(["arch", "--seq", "--n", "8"]) == 0  # no workload: one generation
+    assert "total: 11 cycles" in capsys.readouterr().out
+
+
 def test_arch_unknown_alg(capsys):
     assert main(["arch", "--alg", "nope"]) == 1
 

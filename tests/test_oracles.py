@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gca.oracles import (
     bit_reversed_indices,
@@ -17,8 +19,7 @@ from gca.oracles import (
     oracle_reduce,
     oracle_sort,
     oracle_scan,
-    oracle_xor_linear_check,
-    plain_xor_evolution,
+    torus_arms,
     xor_evolution,
 )
 
@@ -166,19 +167,81 @@ def test_discover_permutation_none():
 
 
 # ---------------------------------------------------------------------------
-# XOR evolvers
+# XOR evolution
 
 def blank(n):
     return [[0] * n for _ in range(n)]
 
 
+def nesw(p):
+    return ((0, -p), (p, 0), (0, p), (-p, 0))
+
+
+def parity_reference(width, height, grid, arms_at, steps):
+    """The definition, cell by cell: cell (x, y) of generation t+1 is the
+    parity of the cells ``((x + dx) mod width, (y + dy) mod height)`` over the
+    arms ``arms_at(t, (x + y) & 1, its bit)``."""
+    cur = [list(row) for row in grid]
+    history = [bytes(v for row in cur for v in row)]
+    for t in range(steps):
+        cur = [
+            [
+                sum(
+                    cur[(y + dy) % height][(x + dx) % width]
+                    for dx, dy in arms_at(t, (x + y) & 1, cur[y][x])
+                ) % 2
+                for x in range(width)
+            ]
+            for y in range(height)
+        ]
+        history.append(bytes(v for row in cur for v in row))
+    return history
+
+
+offsets = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+arm_lists = st.lists(offsets, max_size=4).map(tuple)
+
+
+@st.composite
+def evolution_cases(draw):
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    steps = draw(st.integers(0, 4))
+    grid = draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width),
+        min_size=height, max_size=height,
+    ))
+    # table[t][colour][bit]; the plain form reads by bit alone
+    plain = draw(st.booleans())
+    table = []
+    for _ in range(steps):
+        by_colour = [draw(st.tuples(arm_lists, arm_lists)) for _ in range(2)]
+        table.append((by_colour[0], by_colour[0] if plain else by_colour[1]))
+    return width, height, grid, table, steps
+
+
+@given(evolution_cases())
+def test_xor_evolution_matches_the_per_cell_definition(case):
+    width, height, grid, table, steps = case
+
+    def arms_at(t, colour, bit):
+        return table[t][colour][bit]
+
+    got = xor_evolution(width, height, grid, arms_at, steps)
+    assert got == parity_reference(width, height, grid, arms_at, steps)
+
+
+def test_xor_evolution_rejects_non_binary_grids():
+    for grid in ([[0, 2], [1, 0]], [[0, 1]], [[0, 1], [1]], [[0, 1], [1, 0, 1]]):
+        with pytest.raises(ValueError, match="2 rows of 2 cells, each 0 or 1"):
+            xor_evolution(2, 2, grid, lambda t, c, b: (), 1)
+
+
 def test_xor_evolution_single_seed():
     grid = blank(9)
     grid[4][4] = 1
-    hist = xor_evolution(
-        9, 9, grid, lambda t, x, y: ((0, -1), (1, 0), (0, 1), (-1, 0)), 1
-    )
-    lit = {(x, y) for y in range(9) for x in range(9) if hist[1][y][x]}
+    hist = xor_evolution(9, 9, grid, lambda t, c, b: nesw(1), 1)
+    assert hist[0] == bytes(v for row in grid for v in row)
+    lit = {(x, y) for y in range(9) for x in range(9) if hist[1][9 * y + x]}
     assert lit == {(4, 3), (5, 4), (4, 5), (3, 4)}
 
 
@@ -188,34 +251,44 @@ def test_xor_evolution_is_linear():
     g1 = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
     g2 = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
 
-    def evolve(grid, steps):
-        return xor_evolution(
-            n, n, grid, lambda t, x, y: ((0, -3), (3, 0), (0, 3), (-3, 0)), steps
-        )
-
-    assert oracle_xor_linear_check(evolve, g1, g2, 8)
+    both = [[c1 ^ c2 for c1, c2 in zip(r1, r2)] for r1, r2 in zip(g1, g2)]
+    h1, h2, hb = (xor_evolution(n, n, g, lambda t, c, b: nesw(3), 8) for g in (g1, g2, both))
+    assert all(bytes(c1 ^ c2 for c1, c2 in zip(a, b)) == ab for a, b, ab in zip(h1, h2, hb))
 
 
 def test_plain_evolution_equals_fixed_when_a_is_b():
     rng = random.Random(14)
     n = 12
     grid = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-    got = plain_xor_evolution(n, grid, 2, 2, 6)
-    want = xor_evolution(
-        n, n, grid, lambda t, x, y: ((0, -2), (2, 0), (0, 2), (-2, 0)), 6
-    )
-    assert got == want
+
+    def plain(a, b):
+        return lambda t, colour, bit: nesw(b if bit else a)
+
+    fixed = xor_evolution(n, n, grid, lambda t, colour, bit: nesw(2), 6)
+    assert xor_evolution(n, n, grid, plain(2, 2), 6) == fixed
+    assert xor_evolution(n, n, grid, plain(2, 3), 6) != fixed
 
 
 def test_plain_evolution_state_dependent():
     n = 8
     grid = blank(n)
     grid[0][0] = 1
-    hist = plain_xor_evolution(n, grid, 3, 1, 1)
+    hist = xor_evolution(n, n, grid, lambda t, c, bit: nesw(1 if bit else 3), 1)
     # the lone 1-cell reads at distance 1, everyone else at 3
-    lit = {(x, y) for y in range(n) for x in range(n) if hist[1][y][x]}
+    lit = {(x, y) for y in range(n) for x in range(n) if hist[1][n * y + x]}
     assert (3, 0) in lit and (0, 3) in lit  # zero-cells seeing the 1 at dist 3
     assert (1, 0) not in lit  # its dist-3 arms miss the seed
+
+
+def test_torus_arms_by_colour_and_generation():
+    # checkerboard: orthogonal on even colour, diagonal on odd, every step
+    assert torus_arms("sG", 8, 2) == [
+        (nesw(2), ((2, -2), (2, 2), (-2, 2), (-2, -2)))
+    ] * 2
+    # tE: (px, py) = (1, 3) on even generations, (3, 1) on odd ones
+    te = ((0, -3), (1, 0), (0, 3), (-1, 0)), ((0, -1), (3, 0), (0, 1), (-3, 0))
+    assert torus_arms("tE", 8, 3) == [(te[0], te[0]), (te[1], te[1]), (te[0], te[0])]
+    assert [even for even, _ in torus_arms("tD", 8, 2)] == [nesw(1), nesw(4)]
 
 
 # ---------------------------------------------------------------------------
