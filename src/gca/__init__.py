@@ -7,7 +7,6 @@ from .core import (
     Configuration,
     FixedPoint,
     GcaError,
-    Predicate,
     PreconditionError,
     RuleContext,
     RuleEvaluationError,

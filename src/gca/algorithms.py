@@ -95,10 +95,10 @@ class AlgorithmSpec:
     topology: Topology
     initial: Callable[[], Configuration]
     stop: StopRule
+    verify: Callable[["AlgorithmSpec", RunResult], str | None]
     expected_steps: int | None = None
     events: tuple[tuple[int, Callable[[Configuration], None]], ...] = ()
     annotate: Callable[[int, list[Configuration]], str] | None = None
-    verify: Callable[["AlgorithmSpec", RunResult], str | None] | None = None
 
     def __post_init__(self) -> None:
         if self.expected_steps is None and isinstance(self.stop, Steps):

@@ -39,8 +39,6 @@ from .algorithms import AlgorithmSpec
 from .core import Configuration, GcaError, PreconditionError, RuleEvaluationError, Steps, run
 from .core import step_sync  # re-exported: bench/tracer.py patches archsim.step_sync
 
-STAGES = ("Fetch", "Get", "Exe", "Write")
-
 
 @dataclass(frozen=True)
 class ArchParams:
@@ -99,12 +97,6 @@ class Schedule:
             f"{self.generations * self.slots} cycles + 3 latency + "
             f"{self.switches} switches"
         )
-
-    def throughput(self) -> float:
-        """Cell results per cycle, fill latency and switches included."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.generations * self.params.n / self.total_cycles
 
 
 def _cycle_law(params: ArchParams, generations: int) -> tuple[int, int]:

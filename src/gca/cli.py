@@ -33,8 +33,8 @@ from . import formats
 
 OUT_DIR_ENV = "GCA_OUT_DIR"
 
-_INT_FIELDS = {"n", "w", "h", "steps", "seed"}
-_BOOL_FIELDS = {"states", "pointers", "edges"}
+_INT_FIELDS = {"n", "steps", "seed"}
+_BOOL_FIELDS = {"pointers", "edges"}
 STOP_CHOICES = ("fixed-point",)
 FORMAT_CHOICES = ("text", "pgm", "csv", "none")
 # the keys whose values the `run` flags restrict, with the same choices
@@ -49,15 +49,12 @@ class RunConfig:
 
     alg: str | None = None
     n: int | None = None
-    w: int | None = None
-    h: int | None = None
     variant: str | None = None
     mode: str = "sync"
     steps: int | None = None
     stop: str | None = None
     format: str = "text"
     seed: int | None = None
-    states: bool = True
     pointers: bool = False
     edges: bool = False
     out: str | None = None
@@ -139,17 +136,10 @@ def _build_spec(cfg: RunConfig) -> AlgorithmSpec:
     builder = CATALOG[cfg.alg]
     params = inspect.signature(builder).parameters
     kwargs = {}
-    n = cfg.n
-    if n is None and (cfg.w is not None or cfg.h is not None):
-        if cfg.w != cfg.h or cfg.w is None:
-            raise PreconditionError(
-                "only square grids are cataloged; pass equal --w/--h or --n"
-            )
-        n = cfg.w
-    if n is not None:
+    if cfg.n is not None:
         if "n" not in params:
             raise PreconditionError(f"algorithm {cfg.alg!r} does not accept n")
-        kwargs["n"] = n
+        kwargs["n"] = cfg.n
     if cfg.variant is not None:
         if "pointer_variant" not in params:
             raise PreconditionError(f"algorithm {cfg.alg!r} has no variants")
@@ -157,9 +147,6 @@ def _build_spec(cfg: RunConfig) -> AlgorithmSpec:
     if cfg.seed is not None and "seed" in params:
         kwargs["seed"] = cfg.seed
     return builder(**kwargs)
-
-
-_HALT_TEXT = {"fixed-point": "fixed point", "steps": "steps", "predicate": "predicate"}
 
 
 def _is_binary(snapshots) -> bool:
@@ -195,14 +182,13 @@ def cmd_run(cfg: RunConfig) -> int:
         stop = None if cfg.steps is None else Steps(cfg.steps)
     else:
         raise PreconditionError(f"unknown stop rule {cfg.stop!r}")
-    want_states = cfg.format != "none" and cfg.states
     result = execute(
         spec,
         stop,
         mode=mode,
         order=order,
         seed=seed,
-        record_states=want_states,
+        record_states=cfg.format != "none",
         record_edges=cfg.edges,
     )
     out = _out_dir(cfg.out)
@@ -220,7 +206,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     if cfg.format != "none":
         os.makedirs(out, exist_ok=True)
-        snaps = result.trace.snapshots if want_states else [result.config]
+        snaps = result.trace.snapshots
         if cfg.format == "text":
             if not spec.topology.is_2d and _is_binary(snaps):
                 rows = formats.render_rows(snaps, spec.annotate)
@@ -245,7 +231,7 @@ def cmd_run(cfg: RunConfig) -> int:
         if cfg.edges:
             emit(f"{cfg.alg}-edges.csv", formats.edges_csv(result.trace))
         emit(f"{cfg.alg}-config.txt", cfg.to_text())
-    halt = _HALT_TEXT.get(result.halt, result.halt)
+    halt = result.halt.replace("-", " ")
     print(
         f"{cfg.alg}: {result.steps} steps, halted: {halt}, t={result.config.time}"
     )
@@ -332,7 +318,7 @@ def cmd_verify(args) -> int:
     for name in names:
         spec = default_instance(name)
         result = execute(spec, record_states=True)
-        err = spec.verify(spec, result) if spec.verify else None
+        err = spec.verify(spec, result)
         if err is None:
             print(f"{name:<{width}}  pass")
         else:
@@ -350,11 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a cataloged algorithm")
+    # no prefix matching: the removed --h flag must not read as --help
+    run_p = sub.add_parser("run", help="run a cataloged algorithm", allow_abbrev=False)
     run_p.add_argument("--alg", help="algorithm name (see `gca verify all`)")
     run_p.add_argument("--n", type=int, help="cell count / grid side")
-    run_p.add_argument("--w", type=int, help="grid width (square grids only)")
-    run_p.add_argument("--h", type=int, help="grid height (square grids only)")
     run_p.add_argument("--variant", help="pointer variant (max only)")
     run_p.add_argument("--mode", help="sync | async:order[:seed]")
     run_p.add_argument("--steps", type=int, help="generations to run")
@@ -414,7 +399,7 @@ def main(argv=None) -> int:
                 except (OSError, ValueError) as exc:
                     print(f"error: bad config file: {exc}", file=sys.stderr)
                     return 1
-            for f in fields(RunConfig):  # `states` has no flag
+            for f in fields(RunConfig):
                 value = getattr(args, f.name, None)
                 if value is not None:
                     setattr(cfg, f.name, value)

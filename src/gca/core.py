@@ -53,7 +53,6 @@ __all__ = [
     "Configuration",
     "FixedPoint",
     "GcaError",
-    "Predicate",
     "PreconditionError",
     "RuleContext",
     "RuleEvaluationError",
@@ -263,9 +262,6 @@ class Configuration:
 
     def data(self) -> list:
         return [q.data for q in self.states]
-
-    def pointers(self, arm: int = 0) -> list:
-        return [q.pointers[arm] for q in self.states]
 
     def grid(self) -> list[list]:
         """Data values as rows (2D topologies only)."""
@@ -580,16 +576,14 @@ def step_sync(
     *,
     edge_sink: list | None = None,
     phase1_order: Sequence[int] | None = None,
-    on_commit: Callable[[int, CellState], None] | None = None,
 ) -> Configuration:
     """One synchronous step: compute every cell from the generation-t snapshot,
     then commit all results as generation t+1.
 
     ``edge_sink`` collects ``(reader, target)`` access edges for this step.
     ``phase1_order`` evaluates phase 1 in the given index permutation (the
-    committed result is order independent; anything else is rejected);
-    ``on_commit`` is a diagnostics hook invoked once per cell at commit time
-    with the owner index.  A rule failure commits nothing.
+    committed result is order independent; anything else is rejected).  A
+    rule failure commits nothing.
     """
     n = cfg.n
     new_states: list = [None] * n
@@ -597,9 +591,6 @@ def step_sync(
         raise PreconditionError(f"phase1_order is not a permutation of 0..{n - 1}")
     order = range(n) if phase1_order is None else phase1_order
     _phase1(ruleset, cfg.topology, cfg.time, cfg.states, new_states, order, edge_sink)
-    if on_commit is not None:
-        for i in range(n):
-            on_commit(i, new_states[i])
     return Configuration(new_states, cfg.topology, cfg.time + 1)
 
 
@@ -655,14 +646,7 @@ class FixedPoint:
     """Stop once a committed step changed nothing (sync mode only)."""
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """Stop once ``fn(configuration)`` is true (checked after each commit)."""
-
-    fn: Callable[[Configuration], bool]
-
-
-StopRule = Steps | FixedPoint | Predicate
+StopRule = Steps | FixedPoint
 
 
 def default_step_limit(n: int) -> int:
@@ -687,7 +671,7 @@ class Trace:
 class RunResult:
     config: Configuration
     steps: int
-    halt: str  # "steps" | "fixed-point" | "predicate"
+    halt: str  # "steps" | "fixed-point"
     trace: Trace | None = None
 
 
@@ -718,9 +702,9 @@ def run(
     in place to generation 0 and to each committed generation, before it is
     recorded or tested by the stop rule.  For the random async
     order, ``seed`` seeds one stream that every sweep draws its order from.
-    Open-ended stop rules (fixed point, predicate) are guarded by
-    ``step_limit`` (default ``10*n + 64``); exceeding it raises
-    :class:`StepLimitError`.  The input configuration is not modified.
+    A fixed-point run is guarded by ``step_limit`` (default ``10*n + 64``);
+    exceeding it raises :class:`StepLimitError`.  The input configuration is
+    not modified.
     """
     if mode not in ("sync", "async"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -746,8 +730,6 @@ def run(
     while True:
         if isinstance(stop, Steps) and steps >= stop.count:
             return RunResult(current, steps, "steps", trace)
-        if isinstance(stop, Predicate) and stop.fn(current):
-            return RunResult(current, steps, "predicate", trace)
         if open_ended and steps >= limit:
             raise StepLimitError(limit, current.time)
         edge_sink = [] if record_edges else None

@@ -184,7 +184,8 @@ def snapshot_parse(text: str) -> tuple[Configuration, dict]:
 def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
     """Binary P5 image of a data grid: 0 renders white, 1 renders black.
 
-    Non-binary grids get a linear grayscale (minimum white, maximum black).
+    Other grids of ints and floats get a linear grayscale (minimum white,
+    maximum black); any other cell data is a :class:`PreconditionError`.
     ``tile2`` tiles the pattern 2x2, doubling both dimensions.
     """
     rows = [list(r) for r in grid]
@@ -196,6 +197,8 @@ def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
         raise PreconditionError("empty grid")
     if all(v in (0, 1) for v in flat):
         pix = [255 if v == 0 else 0 for v in flat]
+    elif not all(isinstance(v, (int, float)) for v in flat):
+        raise PreconditionError("PGM needs a grid of real numbers")
     else:
         lo, hi = min(flat), max(flat)
         if hi == lo:

@@ -149,53 +149,6 @@ def bit_reversed_indices(k: int) -> list[int]:
     return out
 
 
-def discover_output_permutation(
-    outputs: Sequence[Sequence[complex]],
-    references: Sequence[Sequence[complex]],
-    tol: float = 1e-9,
-) -> list[int] | None:
-    """Search for a permutation mapping reference slots onto output slots.
-
-    ``outputs[r]`` and ``references[r]`` are parallel result vectors for run r.
-    Returns ``perm`` with ``outputs[r][perm[key]] == references[r][key]`` for
-    every run within ``tol`` per component, or None when no permutation works.
-    """
-    n = len(references[0])
-    candidates: list[list[int]] = []
-    for key in range(n):
-        slots = []
-        for slot in range(n):
-            ok = True
-            for out, ref in zip(outputs, references):
-                d = out[slot] - ref[key]
-                if abs(d.real) > tol or abs(d.imag) > tol:
-                    ok = False
-                    break
-            if ok:
-                slots.append(slot)
-        if not slots:
-            return None
-        candidates.append(slots)
-
-    perm: list[int] = []
-    used: set[int] = set()
-
-    def assign(key: int) -> bool:
-        if key == n:
-            return True
-        for slot in candidates[key]:
-            if slot not in used:
-                used.add(slot)
-                perm.append(slot)
-                if assign(key + 1):
-                    return True
-                used.discard(slot)
-                perm.pop()
-        return False
-
-    return perm if assign(0) else None
-
-
 # ---------------------------------------------------------------------------
 # torus XOR references
 

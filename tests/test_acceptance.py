@@ -40,7 +40,6 @@ from gca.firing import (
     next_power_of_two,
 )
 from gca.oracles import (
-    discover_output_permutation,
     load_golden,
     oracle_dft,
     oracle_fft_recurrence,
@@ -48,6 +47,8 @@ from gca.oracles import (
     oracle_scan,
     oracle_sort,
 )
+from test_oracles import discover_output_permutation
+from test_plan import owner_writes
 
 
 def criterion(num: int, label: str, budget: float):
@@ -394,7 +395,5 @@ def test_criterion_11_engine_properties():
             rng.shuffle(perm)
             assert step_sync(cfg, rs, phase1_order=perm).states == ref.states
 
-        writes = []
-        committed = step_sync(cfg, rs, on_commit=lambda i, q: writes.append((i, q)))
-        assert sorted(i for i, _ in writes) == list(range(n))  # owner write
-        assert all(committed.states[i] == q for i, q in writes)
+        # owner write: the cell evaluated k-th stores k-th, into its own slot
+        assert owner_writes(cfg, rs, perm) == (perm, ref.states)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gca import (
     CATALOG,
+    AlgorithmSpec,
     CellState,
     FixedPoint,
     PreconditionError,
@@ -46,7 +47,6 @@ from gca.algorithms import (
 from gca.firing import FiringState
 from gca.oracles import (
     bit_reversed_indices,
-    discover_output_permutation,
     oracle_dft,
     oracle_fft_recurrence,
     oracle_reduce,
@@ -55,13 +55,13 @@ from gca.oracles import (
     torus_arms,
     xor_evolution,
 )
+from test_oracles import discover_output_permutation
 
 
 def checked(spec, **kw):
     res = execute(spec, record_states=True, **kw)
-    if spec.verify is not None:
-        err = spec.verify(spec, res)
-        assert err is None, err
+    err = spec.verify(spec, res)
+    assert err is None, err
     return res
 
 
@@ -108,7 +108,7 @@ def test_max_random_variant():
     spec = alg_max(8, pointer_variant="random", seed=5)
     first = step_sync(spec.initial(), spec.ruleset)
     rng = random.Random(5)
-    assert first.pointers() == [rng.randrange(8) for _ in range(8)]
+    assert [q.pointers[0] for q in first.states] == [rng.randrange(8) for _ in range(8)]
 
 
 def test_max_guards():
@@ -883,10 +883,18 @@ def test_expected_steps_come_from_the_stop():
     assert (type(spec.stop), spec.expected_steps) == (FixedPoint, 5)
     assert execute(spec).steps == 6
     # bench/tracer.py rebuilds specs with dataclasses.replace
-    assert dataclasses.replace(spec, verify=None).expected_steps == 5
+    assert dataclasses.replace(spec, initial=spec.initial).expected_steps == 5
     spec = dataclasses.replace(alg_max(8), expected_steps=3)
     assert (spec.stop.count, spec.expected_steps) == (7, 3)
-    assert dataclasses.replace(spec, verify=None).expected_steps == 3
+    assert dataclasses.replace(spec, initial=spec.initial).expected_steps == 3
+
+
+def test_a_spec_cannot_be_built_without_a_verify():
+    spec = alg_max(8)
+    rest = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    del rest["verify"]
+    with pytest.raises(TypeError, match="verify"):
+        AlgorithmSpec(**rest)
 
 
 def test_family_entries_take_only_their_options():

@@ -13,7 +13,6 @@ from gca.algorithms import alg_max, alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
     PipelineEvent,
-    STAGES,
     _check_hazards,
     capacity_table,
     dpa_memory_capacity,
@@ -26,6 +25,8 @@ from gca.archsim import (
 )
 from gca import execute
 from gca.firing import firing_jump_v2
+
+STAGES = ("Fetch", "Get", "Exe", "Write")
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +85,6 @@ def test_seq_zero_generations():
 def test_seq_requires_copies():
     with pytest.raises(PreconditionError):
         seq_pipeline_simulate(ArchParams(n=4, k=0), generations=1)
-
-
-def test_throughput_approaches_one():
-    sched = seq_pipeline_simulate(ArchParams(n=1000, k=1), generations=1)
-    assert abs(sched.throughput() - 1000 / 1003) < 1e-12
-    assert sched.throughput() > 0.99
 
 
 def test_summary_line():

@@ -87,6 +87,27 @@ def test_run_pgm_and_edges(outdir):
     assert len(edge_lines) == 2 + 2 * 8 * 8 * 4  # two steps, four arms per cell
 
 
+def test_pgm_of_data_that_is_not_numbers_is_a_precondition_error(outdir, tmp_path, capsys):
+    # fft cells hold (real, imaginary) pairs, which have no grey level
+    assert main(["run", "--alg", "fft", "--format", "pgm"]) == 2
+    assert "PGM needs a grid of real numbers" in capsys.readouterr().err
+    snap = tmp_path / "pairs.txt"
+    snap.write_text(formats.snapshot_dump(execute(CATALOG["fft"]()).config))
+    assert main(["render", str(snap), "--format", "pgm"]) == 2
+    assert "PGM needs a grid of real numbers" in capsys.readouterr().err
+    assert list(outdir.glob("*.pgm")) == []
+
+
+def test_size_is_set_by_n_only(outdir, capsys):
+    for flags in (["--w", "5"], ["--h", "3"], ["--w", "5", "--h", "3"]):
+        assert main(["run", "--alg", "xor2d-r1", "--n", "8", *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+    for key in ("w=8", "h=8", "states=false"):
+        with pytest.raises(ValueError, match="not a config entry"):
+            RunConfig.from_text(f"alg=xor2d-r1\n{key}\n")
+
+
 def test_run_pointer_rows(outdir):
     main(["run", "--alg", "xor1d-basic", "--n", "31", "--steps", "5", "--pointers"])
     assert (outdir / "xor1d-basic-p1.txt").exists()
@@ -332,18 +353,17 @@ def test_config_file_flags_win(outdir, tmp_path, capsys):
 
 
 def test_every_run_flag_wins_over_the_config(tmp_path, monkeypatch):
-    # every RunConfig field but `states`, which has no flag, is a `gca run` flag
+    # every RunConfig field is a `gca run` flag
     file_cfg = RunConfig(
-        alg="max", n=8, w=4, h=4, variant="inc", mode="sync", steps=3, format="text",
-        seed=1, states=False, pointers=False, edges=False, out=str(tmp_path / "a"),
+        alg="max", n=8, variant="inc", mode="sync", steps=3, format="text",
+        seed=1, pointers=False, edges=False, out=str(tmp_path / "a"),
     )
     flags = {
-        "alg": "horn", "n": 16, "w": 5, "h": 5, "variant": "double",
+        "alg": "horn", "n": 16, "variant": "double",
         "mode": "async:ascending", "steps": 2, "stop": "fixed-point", "format": "csv",
         "seed": 2, "pointers": True, "edges": True, "out": str(tmp_path / "b"),
     }
-    names = [f.name for f in dataclasses.fields(RunConfig)]
-    assert sorted(flags) == sorted(n for n in names if n != "states")
+    assert sorted(flags) == sorted(f.name for f in dataclasses.fields(RunConfig))
     cfg_file = tmp_path / "replay.txt"
     cfg_file.write_text(file_cfg.to_text())
     argv = ["run", "--config", str(cfg_file)]

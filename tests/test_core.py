@@ -10,7 +10,6 @@ from gca import (
     ByPointer,
     CellState,
     FixedPoint,
-    Predicate,
     PreconditionError,
     RuleEvaluationError,
     RuleSet,
@@ -27,6 +26,7 @@ from gca import (
     step_sync,
 )
 from gca.core import Address, default_step_limit
+from test_plan import owner_writes
 
 
 def incr_rule(ctx):
@@ -234,11 +234,12 @@ def test_step_sync_rejects_a_phase1_order_that_is_not_a_permutation(order):
 
 
 def test_step_sync_owner_write():
-    """Every commit targets the owning cell exactly once."""
+    """Every evaluation stores into the owning cell, once."""
     cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(4))
-    writes = []
-    step_sync(cfg, max_ruleset(), on_commit=lambda i, state: writes.append(i))
-    assert sorted(writes) == [0, 1, 2, 3]
+    for order in ([0, 1, 2, 3], [2, 0, 3, 1]):
+        stores, states = owner_writes(cfg, max_ruleset(), order)
+        assert stores == order
+        assert states == step_sync(cfg, max_ruleset()).states
 
 
 def failure(cfg, rs):
@@ -497,25 +498,17 @@ def test_run_rejects_negative_steps():
         run(cfg, max_ruleset(), Steps(-1))
 
 
-def test_run_predicate():
-    n = 4
-    cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(n))
-    result = run(
-        cfg, max_ruleset(), Predicate(lambda c: all(q.data == 3 for q in c.states))
-    )
-    assert result.halt == "predicate" and result.steps <= n
-
-
 def test_run_step_limit_guard():
     cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
     rs = RuleSet(
         variant="basic", arms=1, data_rule=incr_rule, pointer_rule=keep_pointers
     )
-    with pytest.raises(StepLimitError):
-        run(cfg, rs, FixedPoint())
     with pytest.raises(StepLimitError) as exc:
-        run(cfg, rs, Predicate(lambda c: False), step_limit=17)
-    assert exc.value.limit == 17
+        run(cfg, rs, FixedPoint())
+    assert (exc.value.limit, exc.value.time) == (94, 94)
+    with pytest.raises(StepLimitError) as exc:
+        run(cfg, rs, FixedPoint(), step_limit=17)
+    assert (exc.value.limit, exc.value.time) == (17, 17)
     assert default_step_limit(10) == 164
 
 

@@ -22,9 +22,8 @@ S, G, A, F = FiringState.S, FiringState.G, FiringState.A, FiringState.F
 
 def checked(spec):
     res = execute(spec, record_states=True)
-    if spec.verify is not None:
-        err = spec.verify(spec, res)
-        assert err is None, err
+    err = spec.verify(spec, res)
+    assert err is None, err
     return res
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gca.oracles import (
     bit_reversed_indices,
     compare_golden,
-    discover_output_permutation,
     load_golden,
     oracle_dft,
     oracle_fft_recurrence,
@@ -137,6 +136,49 @@ def test_bit_reversed_indices():
     for k in range(1, 8):
         rev = bit_reversed_indices(k)
         assert [rev[r] for r in rev] == list(range(1 << k))  # involution
+
+
+def discover_output_permutation(outputs, references, tol=1e-9):
+    """Search for a permutation mapping reference slots onto output slots.
+
+    ``outputs[r]`` and ``references[r]`` are parallel result vectors for run r.
+    Returns ``perm`` with ``outputs[r][perm[key]] == references[r][key]`` for
+    every run within ``tol`` per component, or None when no permutation works.
+    """
+    n = len(references[0])
+    candidates = []
+    for key in range(n):
+        slots = []
+        for slot in range(n):
+            ok = True
+            for out, ref in zip(outputs, references):
+                d = out[slot] - ref[key]
+                if abs(d.real) > tol or abs(d.imag) > tol:
+                    ok = False
+                    break
+            if ok:
+                slots.append(slot)
+        if not slots:
+            return None
+        candidates.append(slots)
+
+    perm = []
+    used = set()
+
+    def assign(key):
+        if key == n:
+            return True
+        for slot in candidates[key]:
+            if slot not in used:
+                used.add(slot)
+                perm.append(slot)
+                if assign(key + 1):
+                    return True
+                used.discard(slot)
+                perm.pop()
+        return False
+
+    return perm if assign(0) else None
 
 
 def test_discover_permutation_identity():

@@ -22,7 +22,7 @@ from gca import (
     step_async,
     step_sync,
 )
-from gca.core import Address
+from gca.core import Address, _phase1
 
 def shift(a, by: int):
     """Move an address by an amount that depends on ``by``."""
@@ -196,12 +196,35 @@ def test_step_async_matches_sequential_reference(case, order, seed):
     assert cfg.states == before
 
 
-@given(automata())
-def test_owner_write(case):
+class StoreLog(dict):
+    """An ``out`` mapping for ``core._phase1`` that logs the index of every
+    store, so a check can see which cell each evaluation wrote."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, i, state):
+        self.stores.append(i)
+        super().__setitem__(i, state)
+
+
+def owner_writes(cfg, rs, order):
+    """Phase 1 of one synchronous step in ``order``: (store log, states)."""
+    out = StoreLog()
+    _phase1(rs, cfg.topology, cfg.time, cfg.states, out, order)
+    return out.stores, [out[i] for i in range(cfg.n)]
+
+
+@given(automata(), st.randoms(use_true_random=False))
+def test_owner_write(case, rnd):
+    # the cell evaluated k-th stores k-th, into its own slot only
     cfg, rs = case
-    writes = []
-    nxt = step_sync(cfg, rs, on_commit=lambda i, q: writes.append((i, q)))
-    assert writes == list(enumerate(nxt.states))
+    order = list(range(cfg.n))
+    rnd.shuffle(order)
+    stores, states = owner_writes(cfg, rs, order)
+    assert stores == order
+    assert states == step_sync(cfg, rs).states
 
 
 @given(automata(), st.data())
@@ -216,11 +239,7 @@ def test_rule_failure_commits_nothing(case, data):
 
     broken = replace(rs, data_rule=failing)
     before, time = list(cfg.states), cfg.time
-    writes = []
-    for step in (
-        lambda: step_sync(cfg, broken, on_commit=lambda i, q: writes.append(i)),
-        lambda: step_async(cfg, broken),
-    ):
+    for step in (lambda: step_sync(cfg, broken), lambda: step_async(cfg, broken)):
         try:
             step()
         except RuleEvaluationError as exc:
@@ -230,7 +249,6 @@ def test_rule_failure_commits_nothing(case, data):
         else:
             raise AssertionError("no RuleEvaluationError")
         assert cfg.states == before and cfg.time == time
-    assert writes == []
 
 
 @given(automata(), st.data())
