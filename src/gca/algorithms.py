@@ -27,7 +27,12 @@ cell's pointer tuple: reduce, Horn, max's const/inc/double/half, every torus
 pointer rule and the r1-r8r modifiers.  The tB-tE modifiers pick one of two
 prebuilt tuples by ``t & 1``, the sF-sH modifiers by the colour
 ``(x + y) & 1``, and xor-plain by the cell's bit.  Max's ``random`` variant
-draws per cell and memoises nothing.
+draws per cell and memoises nothing.  Shared tuples also let a synchronous
+step read a whole generation as rotations of its states (see
+:mod:`gca.core`): reduce, Horn, max's const/inc/double/half, r1-r8r (all
+cells share one stored pointer) and tB-tE (every cell gets the same prebuilt
+tuple) take that path; sF-sH and xor-plain, whose cells read by colour or
+bit, do not.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 fh.write(payload)
         written.append(path)
 
-    if cfg.format != "none":
+    if cfg.format != "none" or cfg.edges:
         os.makedirs(out, exist_ok=True)
         snaps = result.trace.snapshots
         if cfg.format == "text":
@@ -226,7 +226,7 @@ def cmd_run(cfg: RunConfig) -> int:
                     f"{cfg.alg}-t{c.time:04d}.pgm",
                     formats.pgm_bytes(c.grid()),
                 )
-        else:
+        elif cfg.format != "none":
             raise PreconditionError(f"unknown format {cfg.format!r}")
         if cfg.edges:
             emit(f"{cfg.alg}-edges.csv", formats.edges_csv(result.trace))

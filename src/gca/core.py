@@ -21,14 +21,33 @@ absolute.  All wrapping uses mathematical modulus, so results always lie in
 ``[0, n)`` regardless of sign.  :func:`resolve` defines the target of one
 address.
 
-Every step runs one phase-1 loop (``_phase1``) for all variants, synchronous
-steps, asynchronous sweeps and :func:`gather_neighbors` alike.  At the start
-of a step it picks an *access plan* from the topology's dimensions, the
-addressing and the arm count: a ``gather(i, eff)`` that returns the states at
-cell i's effective addresses, and records the access edges when asked to.
-The common relative shapes (2-D with four arms, 1-D with two) are unrolled,
-the 1-D one-arm case is inlined in the loop, and every other shape resolves
-its arm vector with the loop form of :func:`resolve`.
+Phase 1 (``_phase1``) evaluates the rules of every variant, for synchronous
+steps, asynchronous sweeps and :func:`gather_neighbors` alike.  Its per-cell
+loop picks an *access plan* from the topology's dimensions, the addressing
+and the arm count: a ``gather(i, eff)`` that returns the states at cell i's
+effective addresses, and records the access edges when asked to.  The common
+relative shapes (2-D with four arms, 1-D with two) are unrolled, the 1-D
+one-arm case is inlined in the loop, and every other shape resolves its arm
+vector with the loop form of :func:`resolve`.
+
+A synchronous step in ascending order with relative addressing reads a
+*uniform generation* (basic or general variant) as rotations of the state
+list.  It first resolves the generation's effective addresses: the stored
+tuples (basic), one call of a :class:`ByPointer` modifier when every cell
+holds one stored tuple object, or one call of any other modifier per cell,
+made before any read.  When every cell's addresses are one object (``is``),
+each arm's neighbours are one rotation of the states (:func:`_rotations`): a
+slice pair on a ring, a slice pair per row after a row rotation on a torus.
+All reads then come before any rule runs, and the rules run over the cells
+in ascending order, the data rule before the pointer rule at every cell;
+access edges come from the same rotations of the indices, in the per-cell
+order.  Otherwise the per-cell loop runs, reusing the addresses resolved so
+far, so no rule is called twice.  Failures name the same cell, t, state and
+reads as the per-cell loop, except that a failure of a modifier that is not
+a :class:`ByPointer` at a later cell can be reported ahead of an earlier
+cell's data-rule failure.  Asynchronous sweeps, ``phase1_order``,
+:func:`gather_neighbors`, the plain variant and absolute addressing always
+use the per-cell loop.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
@@ -409,7 +428,8 @@ def _access_plan(
 
     The common relative shapes are unrolled; their unpacking is the arity
     check.  None stands for the 1-D relative one-arm case without edges,
-    which the phase-1 loop inlines.
+    which the phase-1 loop inlines.  A uniform generation of a synchronous
+    step reads through :func:`_rotations` and needs no plan.
     """
     relative = addressing == "relative"
     n = topology.n
@@ -454,6 +474,34 @@ def _access_plan(
     return gather
 
 
+def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
+    """The arm vectors of a generation in which every cell has the relative
+    effective addresses ``eff``: for each arm, the list whose i-th item is
+    the item of ``seq`` at cell i's target.
+
+    On a ring an arm is one rotation of ``seq``.  On a torus it is a rotation
+    of the rows and, when the arm moves along x, of each row.
+    """
+    dims = topology.dims
+    n = len(seq)
+    if len(dims) == 1:
+        return [seq[a % n :] + seq[: a % n] for a in eff]
+    w, h = dims
+    vectors = []
+    for dx, dy in eff:
+        sx = dx % w
+        s = dy % h * w
+        if not sx:
+            vectors.append(seq[s:] + seq[:s])
+            continue
+        v: list = []
+        for r in [*range(s, n, w), *range(0, s, w)]:
+            v += seq[r + sx : r + w]
+            v += seq[r : r + sx]
+        vectors.append(v)
+    return vectors
+
+
 _UNSET = object()
 
 
@@ -468,7 +516,7 @@ def _phase1(
     t: int,
     states: list,
     out,
-    order: Iterable[int],
+    order: Iterable[int] | None,
     edge_sink: list | None = None,
 ) -> None:
     """Evaluate the rules of the cells in ``order`` at generation t, reading
@@ -479,6 +527,20 @@ def _phase1(
     rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
     the cell's state and what it read; the cells evaluated so far are in
     ``out`` only.
+
+    ``order`` None is a whole synchronous generation in ascending order.
+    For its relative basic and general rules, phase 1 first resolves the
+    generation's effective addresses.  The stored tuples (basic) and a
+    ``ByPointer`` modifier's result (one call) come from cell 0's tuple p0
+    when cells 0, 1 and n-1 hold p0; any other modifier is called per
+    cell, ahead of any read, up to the first cell whose addresses are a new
+    object.  If every cell's addresses are one object, every cell reads
+    through :func:`_rotations` before any rule runs, and the edges come
+    from rotations of the indices.  The per-cell loop takes over, reusing
+    the addresses resolved ahead: from cell 0 when they are not one
+    object, and from the first cell that does not hold p0, before it
+    reads.  So a modifier failure can be reported ahead of an earlier
+    cell's data-rule failure.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -488,7 +550,6 @@ def _phase1(
     modifier = ruleset.address_modifier
     pf = ruleset.pointer_function
     arms = ruleset.arms
-    gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
     # gp/gr and mp/eff_m: the pointer tuple object a by-pointer rule was
     # last called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
     # cells hold the empty tuple and get it back, so their rule counts as
@@ -503,8 +564,75 @@ def _phase1(
     ctx.params = ruleset.params
     tnew = tuple.__new__  # skips the namedtuple constructor wrapper
     cs = CellState
+    ahead = 0  # cells 0 .. ahead-1 have their effective addresses in effs
     i = -1
     try:
+        if order is None:
+            order = range(n)
+            eff = _UNSET  # every cell's addresses, when they are one object
+            i = 0
+            ctx.cell = states[0]
+            p0 = ctx.cell[1]
+            # with ``hold`` the addresses come from p0, so every cell must
+            # hold p0: cells 0, 1 and n-1 are checked here, and each cell
+            # again as it is evaluated
+            hold = basic or by_modifier
+            if not plain and ruleset.addressing == "relative":
+                if not hold:  # any other modifier: per cell, up to a new object
+                    eff = modifier(ctx)
+                    effs = [eff]
+                    for i in range(1, n):
+                        ctx.i = i
+                        ctx.cell = states[i]
+                        e = modifier(ctx)
+                        effs.append(e)
+                        if e is not eff:
+                            eff = _UNSET
+                            break
+                    ahead = len(effs)
+                elif states[-1][1] is p0 and states[1 % n][1] is p0:
+                    eff = p0
+                    if by_modifier:
+                        eff = eff_m = modifier(ctx)
+                        mp = p0
+            if eff is not _UNSET:
+                i = ctx.i = 0
+                ctx.cell = states[0]
+                if len(eff) != arms:
+                    raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
+                vectors = _rotations(topology, eff, states)
+                if edge_sink is not None:
+                    mark = len(edge_sink)
+                    targets = zip(*_rotations(topology, eff, list(order)))
+                    edge_sink.extend([(c, j) for c, js in zip(order, targets) for j in js])
+                for i, q, nb in zip(order, states, zip(*vectors)):
+                    p = q[1]
+                    ctx.i = i
+                    ctx.cell = q
+                    ctx.neighbors = nb
+                    try:
+                        if p is gp:
+                            out[i] = tnew(cs, (f(ctx), gr))
+                        elif hold and p is not p0:
+                            break
+                        elif by_g:
+                            d = f(ctx)
+                            gr = g(ctx)
+                            gp = p
+                            out[i] = tnew(cs, (d, gr))
+                        else:
+                            out[i] = tnew(cs, (f(ctx), g(ctx)))
+                    except GcaError:
+                        raise
+                    except Exception as exc:
+                        raise RuleEvaluationError(i, t, exc, q, nb) from exc
+                else:
+                    return
+                # cell i holds another tuple: the access plan takes over
+                order = range(i, n)
+                if edge_sink is not None:
+                    del edge_sink[mark + i * arms :]
+        gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
         for i in order:
             q = states[i]
             p = q[1]  # .pointers without the descriptor hop
@@ -514,6 +642,8 @@ def _phase1(
                 eff = p
             elif plain:
                 eff = pf(i, q)
+            elif i < ahead:
+                eff = effs[i]
             elif by_modifier and p is mp:
                 eff = eff_m
             else:
@@ -589,8 +719,7 @@ def step_sync(
     new_states: list = [None] * n
     if phase1_order is not None and sorted(phase1_order) != list(range(n)):
         raise PreconditionError(f"phase1_order is not a permutation of 0..{n - 1}")
-    order = range(n) if phase1_order is None else phase1_order
-    _phase1(ruleset, cfg.topology, cfg.time, cfg.states, new_states, order, edge_sink)
+    _phase1(ruleset, cfg.topology, cfg.time, cfg.states, new_states, phase1_order, edge_sink)
     return Configuration(new_states, cfg.topology, cfg.time + 1)
 
 

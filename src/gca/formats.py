@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from io import StringIO
 from typing import Any, Callable, Sequence
 
@@ -184,8 +185,9 @@ def snapshot_parse(text: str) -> tuple[Configuration, dict]:
 def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
     """Binary P5 image of a data grid: 0 renders white, 1 renders black.
 
-    Other grids of ints and floats get a linear grayscale (minimum white,
-    maximum black); any other cell data is a :class:`PreconditionError`.
+    Other grids of ints and finite floats get a linear grayscale (minimum
+    white, maximum black); any other cell data is a
+    :class:`PreconditionError`.
     ``tile2`` tiles the pattern 2x2, doubling both dimensions.
     """
     rows = [list(r) for r in grid]
@@ -199,6 +201,8 @@ def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
         pix = [255 if v == 0 else 0 for v in flat]
     elif not all(isinstance(v, (int, float)) for v in flat):
         raise PreconditionError("PGM needs a grid of real numbers")
+    elif not all(math.isfinite(v) for v in flat if isinstance(v, float)):
+        raise PreconditionError("PGM needs finite cell data")
     else:
         lo, hi = min(flat), max(flat)
         if hi == lo:

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from gca import CATALOG, Steps, archsim, catalog_names, cli, execute, formats
+from gca import (
+    CATALOG, Steps, Topology, archsim, catalog_names, cli, execute, formats, make_configuration,
+)
 from gca.algorithms import alg_max
 from gca.cli import FORMAT_CHOICES, OUT_DIR_ENV, STOP_CHOICES, RunConfig, main
 from gca.oracles import load_golden
@@ -96,6 +98,26 @@ def test_pgm_of_data_that_is_not_numbers_is_a_precondition_error(outdir, tmp_pat
     assert main(["render", str(snap), "--format", "pgm"]) == 2
     assert "PGM needs a grid of real numbers" in capsys.readouterr().err
     assert list(outdir.glob("*.pgm")) == []
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_pgm_of_data_that_is_not_finite_is_a_precondition_error(outdir, tmp_path, capsys, bad):
+    snap = tmp_path / "nonfinite.txt"
+    cfg = make_configuration([0.5, bad, 2.0, 3.0], (), Topology.torus(2, 2))
+    snap.write_text(formats.snapshot_dump(cfg))
+    assert main(["render", str(snap), "--format", "pgm"]) == 2
+    assert "PGM needs finite cell data" in capsys.readouterr().err
+    assert list(outdir.glob("*.pgm")) == []
+
+
+def test_edges_are_written_whatever_the_format(outdir, tmp_path, monkeypatch):
+    assert main(["run", "--alg", "max", "--n", "8", "--format", "none", "--edges"]) == 0
+    assert sorted(p.name for p in outdir.iterdir()) == ["max-config.txt", "max-edges.csv"]
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "text"))
+    assert main(["run", "--alg", "max", "--n", "8", "--edges"]) == 0
+    text_edges = (tmp_path / "text" / "max-edges.csv").read_text()
+    assert (outdir / "max-edges.csv").read_text() == text_edges
+    assert text_edges.count("\n") > 8  # a header and the edges of every step
 
 
 def test_size_is_set_by_n_only(outdir, capsys):

@@ -262,7 +262,8 @@ def test_step_sync_rule_error_reports_cell():
 
 
 def test_modifier_failure_reads_nothing():
-    # cell 1 gathered its neighbour before cell 2's modifier raised
+    # cells 0 and 1 get one address tuple, so the modifier runs ahead of the
+    # reads and cell 2's raises before any cell has read
     cfg = make_configuration([10, 11, 12, 13], (1,), Topology.ring(4))
 
     def bad_modifier(ctx):

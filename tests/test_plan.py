@@ -1,12 +1,13 @@
-"""Property tests of the phase-1 access plan against a reference built from
-``resolve``: every variant, ring and torus, relative and absolute addressing,
-one to four arms; and of phase 1's by-pointer shortcut against per-cell
-calls."""
+"""Property tests of phase 1 against a reference built from ``resolve``:
+every variant, ring and torus, relative and absolute addressing, one to four
+arms, with cells that share one pointer tuple (read as rotations of the
+state list) or not (read through the access plan); and of phase 1's
+by-pointer shortcut against per-cell calls."""
 
 import random
 from dataclasses import replace
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gca import (
@@ -48,6 +49,16 @@ def address_modifier(ctx):
     return tuple(shift(p, ctx.cell.data + ctx.i) for p in ctx.cell.pointers)
 
 
+def prebuilt_modifier(even: tuple, odd: tuple):
+    """A modifier that returns one of two prebuilt tuples by t's parity, so
+    that every cell's effective addresses are one object."""
+    def modifier(ctx):
+        assert ctx.neighbors == ()
+        return odd if ctx.t & 1 else even
+
+    return modifier
+
+
 def plain_function(arms: int, twod: bool):
     def pointer_function(i, q):
         eff = []
@@ -72,20 +83,36 @@ def engine_shape(draw):
     return addressing, arms, topo, address
 
 
+def shared_pointers(draw, n, arm_vector, sharing=None):
+    """Per-cell pointer tuples: one shared object, its own tuple for each
+    cell, or the shared object at some cells only."""
+    sharing = sharing or draw(st.sampled_from(("shared", "own", "mixed")))
+    one = draw(arm_vector)
+    if sharing == "shared":
+        return [one] * n
+    return [
+        one if sharing == "mixed" and draw(st.booleans()) else draw(arm_vector)
+        for _ in range(n)
+    ]
+
+
 @st.composite
-def automata(draw):
-    """A configuration and a rule set of any engine shape."""
+def automata(draw, sharing=None):
+    """A configuration and a rule set of any engine shape; ``sharing`` fixes
+    how the cells hold their pointer tuples (see ``shared_pointers``)."""
     variant = draw(st.sampled_from(("basic", "general", "plain")))
     addressing, arms, topo, address = engine_shape(draw)
     n = topo.n
     data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
     pointers = None
+    arm_vector = st.tuples(*[address] * arms)
     if variant != "plain":
-        arm_vector = st.tuples(*[address] * arms)
-        pointers = draw(st.lists(arm_vector, min_size=n, max_size=n))
+        pointers = shared_pointers(draw, n, arm_vector, sharing)
     kwargs = {}
     if variant == "general":
-        kwargs["address_modifier"] = address_modifier
+        kwargs["address_modifier"] = draw(st.sampled_from((
+            address_modifier, prebuilt_modifier(draw(arm_vector), draw(arm_vector)),
+        )))
     if variant == "plain":
         kwargs["pointer_function"] = plain_function(arms, topo.is_2d)
     else:
@@ -139,12 +166,19 @@ def reference_async(cfg, rs, order):
     return work
 
 
-@given(automata())
+def reference_edges(cfg, rs, order):
+    return [(i, j) for i in order for j in reference_targets(cfg, rs, cfg.states, i)]
+
+
+@given(st.one_of(automata(), automata(sharing="shared")))
 def test_step_sync_matches_reference(case):
     cfg, rs = case
-    nxt = step_sync(cfg, rs)
+    edges = []
+    nxt = step_sync(cfg, rs, edge_sink=edges)
     assert nxt.states == reference_sync(cfg, rs)
     assert nxt.time == cfg.time + 1
+    assert edges == reference_edges(cfg, rs, range(cfg.n))
+    assert step_sync(cfg, rs).states == nxt.states
 
 
 @given(automata(), st.randoms(use_true_random=False))
@@ -162,8 +196,7 @@ def test_edge_sink_matches_resolve(case, rnd):
     rnd.shuffle(order)
     edges = []
     nxt = step_sync(cfg, rs, edge_sink=edges, phase1_order=order)
-    want = [(i, j) for i in order for j in reference_targets(cfg, rs, cfg.states, i)]
-    assert edges == want
+    assert edges == reference_edges(cfg, rs, order)
     assert nxt.states == reference_sync(cfg, rs)
 
 
@@ -288,8 +321,9 @@ def per_cell(make):
 def by_pointer_automata(draw):
     """A basic or general automaton whose pointer rule (and modifier) are
     ByPointer rules, plus the rule set that calls their ``make`` per cell.
-    Its cells all share one pointer tuple, each hold an equal copy of one of
-    a few vectors, or mix shared tuples and copies."""
+    A general modifier is a ByPointer rule or a prebuilt tuple.  The cells
+    all share one pointer tuple, each hold an equal copy of one of a few
+    vectors, or mix shared tuples and copies."""
     variant = draw(st.sampled_from(("basic", "general")))
     addressing, arms, topo, address = engine_shape(draw)
     n = topo.n
@@ -302,9 +336,12 @@ def by_pointer_automata(draw):
         pointers.append(tuple(list(v)) if copy else v)
     data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
     makes = {"pointer_rule": by_pointer_make(arms, 1)}
-    if variant == "general":
-        makes["address_modifier"] = by_pointer_make(arms, 2)
     shape = dict(variant=variant, arms=arms, data_rule=data_rule, addressing=addressing)
+    if variant == "general" and draw(st.booleans()):
+        makes["address_modifier"] = by_pointer_make(arms, 2)
+    elif variant == "general":
+        vector = draw(st.tuples(*[address] * arms))
+        shape["address_modifier"] = prebuilt_modifier(vector, vector)
     rs = RuleSet(**shape, **{k: ByPointer(make) for k, make in makes.items()})
     ref = RuleSet(**shape, **{k: per_cell(make) for k, make in makes.items()})
     cfg = make_configuration(data, pointers, topo)
@@ -317,9 +354,11 @@ def by_pointer_automata(draw):
 def test_by_pointer_shortcut_matches_per_cell_calls(case, order, seed):
     cfg, rs, ref = case
     sequence = sweep_order(cfg.n, order, seed)
-    sync = step_sync(cfg, rs)
+    edges = []
+    sync = step_sync(cfg, rs, edge_sink=edges)
     sweep = step_async(cfg, rs, order=order, seed=seed)
     assert sync.states == reference_sync(cfg, ref)
+    assert edges == reference_edges(cfg, ref, range(cfg.n))
     assert sweep.states == reference_async(cfg, ref, sequence)
     memo = rs.pointer_rule.memo
     for nxt in (sync, sweep):
@@ -331,9 +370,19 @@ def test_by_pointer_shortcut_matches_per_cell_calls(case, order, seed):
         assert gather_neighbors(cfg, i, rs) == (tuple(cfg.states[j] for j in targets), targets)
 
 
+class CallCount(dict):
+    """A ByPointer memo that counts the rule's calls, one ``get`` each."""
+
+    calls = 0
+
+    def get(self, key, default=None):
+        self.calls += 1
+        return super().get(key, default)
+
+
 @given(by_pointer_automata())
 def test_other_rules_run_once_per_cell_on_shared_tuples(case):
-    cfg, _, ref = case
+    cfg, rs, ref = case
     calls = []
 
     def counted(rule):
@@ -347,3 +396,107 @@ def test_other_rules_run_once_per_cell_on_shared_tuples(case):
         rules["address_modifier"] = counted(ref.address_modifier)
     assert step_sync(cfg, replace(ref, **rules)).states == reference_sync(cfg, ref)
     assert sorted(calls) == sorted(list(range(cfg.n)) * len(rules))
+
+    # a generation sharing one tuple: each ByPointer rule is called once,
+    # any other modifier once per cell
+    shared = make_configuration(cfg.data(), cfg.states[0].pointers, cfg.topology)
+    shared.time = cfg.time
+    calls.clear()
+    memos, others = [], []
+    rules = {}
+    for name in ("pointer_rule", "address_modifier"):
+        rule = getattr(rs, name)
+        if type(rule) is ByPointer:
+            rules[name] = ByPointer(rule.make)
+            rules[name].memo = CallCount()
+            memos.append(rules[name].memo)
+        elif rule is not None:
+            rules[name] = counted(rule)
+            others.append(name)
+    assert step_sync(shared, replace(rs, **rules)).states == reference_sync(shared, ref)
+    assert [memo.calls for memo in memos] == [1] * len(memos)
+    assert calls == list(range(cfg.n)) * len(others)
+
+
+# ---------------------------------------------------------------------------
+# failures: the cell, t, state and reads that a failing step reports
+
+
+def one_object(cfg, rs):
+    """Whether every cell's effective addresses are one object."""
+    if rs.variant == "basic":
+        effs = [q.pointers for q in cfg.states]
+    elif rs.variant == "general":
+        effs = [rs.address_modifier(context(rs, cfg.states, i, cfg.time)) for i in range(cfg.n)]
+    else:
+        return False
+    return all(e is effs[0] for e in effs)
+
+
+def reference_failure(cfg, rs):
+    """``(cell, t, state, read)`` of a failing synchronous step, or None.
+
+    Cells run in ascending order, each resolving, reading, then running the
+    data and the pointer rule.  With relative addressing, a modifier that is
+    not a ByPointer runs for every cell first; phase 1 does so when every
+    cell's addresses turn out to be one object."""
+    states, t = cfg.states, cfg.time
+    if (rs.addressing == "relative" and rs.variant == "general"
+            and type(rs.address_modifier) is not ByPointer):
+        for i in range(cfg.n):
+            try:
+                rs.address_modifier(context(rs, states, i, t))
+            except Exception:
+                return i, t, states[i], ()
+    for i in range(cfg.n):
+        try:
+            read = tuple(states[j] for j in reference_targets(cfg, rs, states, i))
+        except Exception:
+            return i, t, states[i], ()
+        try:
+            reference_cell(cfg, rs, states, i)
+        except Exception:
+            return i, t, states[i], read
+    return None
+
+
+def fail_at(rule, bad):
+    """``rule``, raising at cell ``bad``; a ByPointer rule stays as it is."""
+    if bad is None or type(rule) is ByPointer:
+        return rule
+
+    def call(ctx):
+        if ctx.i == bad:
+            raise ArithmeticError("boom")
+        return rule(ctx)
+
+    return call
+
+
+@given(st.one_of(automata(sharing="shared"), by_pointer_automata().map(lambda case: case[:2])),
+       st.data())
+def test_failures_match_the_reference(case, data):
+    cfg, rs = case
+    ahead = rs.variant == "general" and type(rs.address_modifier) is not ByPointer
+    # phase 1 resolves another modifier's addresses ahead only up to the
+    # first cell whose addresses are a new object
+    assume(rs.addressing != "relative" or not ahead or one_object(cfg, rs))
+    cells = st.none() | st.integers(0, cfg.n - 1)
+    rules = {"data_rule": fail_at(rs.data_rule, data.draw(st.integers(0, cfg.n - 1)))}
+    if rs.variant != "plain":
+        rules["pointer_rule"] = fail_at(rs.pointer_rule, data.draw(cells))
+    if rs.variant == "general":
+        rules["address_modifier"] = fail_at(rs.address_modifier, data.draw(cells))
+    broken = replace(rs, **rules)
+    if rs.variant == "basic" and data.draw(st.booleans()):  # a wrong arity
+        q = cfg.states[0]
+        wrong = data.draw(st.sampled_from([q.pointers[1:], q.pointers + q.pointers[:1]]))
+        cfg = make_configuration(cfg.data(), wrong, cfg.topology)
+    want = reference_failure(cfg, broken)
+    for edges in (None, []):
+        try:
+            step_sync(cfg, broken, edge_sink=edges)
+        except RuleEvaluationError as exc:
+            assert (exc.cell, exc.time, exc.state, exc.read) == want
+        else:
+            assert want is None
