@@ -110,9 +110,9 @@ def automata(draw, sharing=None):
         pointers = shared_pointers(draw, n, arm_vector, sharing)
     kwargs = {}
     if variant == "general":
-        kwargs["address_modifier"] = draw(st.sampled_from((
-            address_modifier, prebuilt_modifier(draw(arm_vector), draw(arm_vector)),
-        )))
+        kwargs["address_modifier"] = address_modifier
+        if draw(st.booleans()):  # every cell gets one address object
+            kwargs["address_modifier"] = prebuilt_modifier(draw(arm_vector), draw(arm_vector))
     if variant == "plain":
         kwargs["pointer_function"] = plain_function(arms, topo.is_2d)
     else:
@@ -170,15 +170,30 @@ def reference_edges(cfg, rs, order):
     return [(i, j) for i in order for j in reference_targets(cfg, rs, cfg.states, i)]
 
 
-@given(st.one_of(automata(), automata(sharing="shared")))
+def sharing_cell_0s_tuple(cfg, but=None):
+    """``cfg`` with every cell holding cell 0's pointer tuple object; cell
+    ``but`` holds other addresses instead."""
+    p0 = cfg.states[0].pointers
+    pointers = [p0] * cfg.n
+    if but is not None:
+        pointers[but] = tuple(shift(a, 1) for a in p0)
+    shared = make_configuration(cfg.data(), pointers, cfg.topology)
+    shared.time = cfg.time
+    return shared
+
+
+@given(automata())
 def test_step_sync_matches_reference(case):
-    cfg, rs = case
-    edges = []
-    nxt = step_sync(cfg, rs, edge_sink=edges)
-    assert nxt.states == reference_sync(cfg, rs)
-    assert nxt.time == cfg.time + 1
-    assert edges == reference_edges(cfg, rs, range(cfg.n))
-    assert step_sync(cfg, rs).states == nxt.states
+    # as drawn, with every cell sharing one tuple, and with one cell in the
+    # middle holding another (phase 1 switches paths at that cell)
+    drawn, rs = case
+    for cfg in (drawn, sharing_cell_0s_tuple(drawn), sharing_cell_0s_tuple(drawn, drawn.n // 2)):
+        edges = []
+        nxt = step_sync(cfg, rs, edge_sink=edges)
+        assert nxt.states == reference_sync(cfg, rs)
+        assert nxt.time == cfg.time + 1
+        assert edges == reference_edges(cfg, rs, range(cfg.n))
+        assert step_sync(cfg, rs).states == nxt.states
 
 
 @given(automata(), st.randoms(use_true_random=False))
@@ -399,8 +414,7 @@ def test_other_rules_run_once_per_cell_on_shared_tuples(case):
 
     # a generation sharing one tuple: each ByPointer rule is called once,
     # any other modifier once per cell
-    shared = make_configuration(cfg.data(), cfg.states[0].pointers, cfg.topology)
-    shared.time = cfg.time
+    shared = sharing_cell_0s_tuple(cfg)
     calls.clear()
     memos, others = [], []
     rules = {}
@@ -482,21 +496,22 @@ def test_failures_match_the_reference(case, data):
     # first cell whose addresses are a new object
     assume(rs.addressing != "relative" or not ahead or one_object(cfg, rs))
     cells = st.none() | st.integers(0, cfg.n - 1)
-    rules = {"data_rule": fail_at(rs.data_rule, data.draw(st.integers(0, cfg.n - 1)))}
+    rules = {}
     if rs.variant != "plain":
         rules["pointer_rule"] = fail_at(rs.pointer_rule, data.draw(cells))
     if rs.variant == "general":
         rules["address_modifier"] = fail_at(rs.address_modifier, data.draw(cells))
-    broken = replace(rs, **rules)
     if rs.variant == "basic" and data.draw(st.booleans()):  # a wrong arity
         q = cfg.states[0]
         wrong = data.draw(st.sampled_from([q.pointers[1:], q.pointers + q.pointers[:1]]))
         cfg = make_configuration(cfg.data(), wrong, cfg.topology)
-    want = reference_failure(cfg, broken)
-    for edges in (None, []):
-        try:
-            step_sync(cfg, broken, edge_sink=edges)
-        except RuleEvaluationError as exc:
-            assert (exc.cell, exc.time, exc.state, exc.read) == want
-        else:
-            assert want is None
+    for bad in range(cfg.n):  # a data-rule failure at each cell in turn
+        broken = replace(rs, data_rule=fail_at(rs.data_rule, bad), **rules)
+        want = reference_failure(cfg, broken)
+        for edges in (None, []):
+            try:
+                step_sync(cfg, broken, edge_sink=edges)
+            except RuleEvaluationError as exc:
+                assert (exc.cell, exc.time, exc.state, exc.read) == want
+            else:
+                assert want is None
