@@ -23,11 +23,12 @@ Total cycles for G generations: G*ceil(n/p) + 3 + switch*(G-1) - the
 
 Events are listed by (cycle, stage, lane); within a cycle the stages sort
 by name (Exe, Fetch, Get, Switch, Write) and are emitted in that order.
-The hazard check claims one port per access: a Fetch the read set's R
-bank, a Get the lane's S1 copy, a Write the write set's R bank.  That
-covers every copy: a Write fans out to the same bank of all k*p S copies,
-so two Writes collide on a copy exactly when they collide on R, and a Get
-reads its lane's k copies together, so any collision there is one on S1.
+The hazard check keys each access's port claim (cycle, stage, port): a
+Fetch claims the R bank, a Get the lane's S1 copy, a Write the R bank;
+within a stage the memory set is a function of the cycle.  That covers
+every copy: a Write fans out to the same bank of all k*p S copies, so two
+Writes collide on a copy exactly when they collide on R, and a Get reads
+its lane's k copies together, so any collision there is one on S1.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 from .algorithms import AlgorithmSpec
 from .core import Configuration, GcaError, PreconditionError, RuleEvaluationError, Steps, run
-from .core import step_sync  # re-exported: bench/tracer.py patches archsim.step_sync
+from .core import _collector_paused, step_sync  # step_sync re-exported: bench/tracer.py patches it
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,20 @@ def _simulate(params: ArchParams, generations: int) -> Schedule:
     new, event = tuple.__new__, PipelineEvent
     events: list[PipelineEvent] = []
     add = events.append
-    for c in range(1, total + 1):
-        for lane, cell in feed[c + 1] or ():
-            add(new(event, (c, "Exe", lane, cell, lane)))
-        fetched = feed[c + 3]
-        for lane, cell in fetched or ():
-            add(new(event, (c, "Fetch", lane, cell, lane)))
-        for lane, cell in feed[c + 2] or ():
-            add(new(event, (c, "Get", lane, cell, lane)))
-        if fetched is None:
-            add(new(event, (c, "Switch", -1, -1, -1)))
-        for lane, cell in feed[c] or ():
-            add(new(event, (c, "Write", lane, cell, lane)))
-    conflicts = _check_hazards(events, params)
+    with _collector_paused():
+        for c in range(1, total + 1):
+            for lane, cell in feed[c + 1] or ():
+                add(new(event, (c, "Exe", lane, cell, lane)))
+            fetched = feed[c + 3]
+            for lane, cell in fetched or ():
+                add(new(event, (c, "Fetch", lane, cell, lane)))
+            for lane, cell in feed[c + 2] or ():
+                add(new(event, (c, "Get", lane, cell, lane)))
+            if fetched is None:
+                add(new(event, (c, "Switch", -1, -1, -1)))
+            for lane, cell in feed[c] or ():
+                add(new(event, (c, "Write", lane, cell, lane)))
+        conflicts = _check_hazards(events)
     sched = Schedule(
         params=params,
         generations=generations,
@@ -150,36 +152,30 @@ def _simulate(params: ArchParams, generations: int) -> Schedule:
     return sched
 
 
-def _check_hazards(events: list[PipelineEvent], params: ArchParams) -> list[str]:
+_PORTS = {"Fetch": ("read", "R"), "Get": ("read", "S1"), "Write": ("write", "R")}
+
+
+def _check_hazards(events: list[PipelineEvent], params: ArchParams | None = None) -> list[str]:
     """Each memory read port and each write bank may serve one access per
     cycle.  Reads and writes of one memory may share a cycle (separate
-    ports); writes forward to same-cycle reads of the same address.
+    ports); writes forward to same-cycle reads of the same address.  The
+    claims depend on the events alone; ``params`` is ignored.
     """
-    period = -(-params.n // params.p) + params.switch_cost
-    reads: dict[tuple, PipelineEvent] = {}
-    writes: dict[tuple, PipelineEvent] = {}
+    claims: dict[tuple, PipelineEvent] = {}
     conflicts: list[str] = []
     for ev in events:
         cycle, stage, lane, cell, bank = ev
-        # generation g = (cycle - 1 - stage index) // period reads set g % 2
-        if stage == "Fetch":
-            table, kind = reads, "read"
-            key = (cycle, (cycle - 1) // period % 2, "R", bank)
-        elif stage == "Get":
-            table, kind = reads, "read"
-            key = (cycle, (cycle - 2) // period % 2, "S1", lane)
-        elif stage == "Write":
-            table, kind = writes, "write"
-            key = (cycle, 1 - (cycle - 4) // period % 2, "R", bank)
-        elif stage == "Exe" or stage == "Switch":
+        if stage == "Exe" or stage == "Switch":
             continue  # Exe touches no memory; Switch interchanges the sets
-        else:
+        if stage not in _PORTS:
             raise PreconditionError(f"unknown pipeline stage {stage!r}")
-        other = table.get(key)
+        key = (cycle, stage, lane if stage == "Get" else bank)
+        other = claims.get(key)
         if other is not None:
-            conflicts.append(f"cycle {cycle}: double {kind} on {key[2:]} "
+            kind, memory = _PORTS[stage]
+            conflicts.append(f"cycle {cycle}: double {kind} on {(memory, key[2])} "
                              f"(cells {other.cell} and {cell})")
-        table[key] = ev
+        claims[key] = ev
     return conflicts
 
 

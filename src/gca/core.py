@@ -4,7 +4,9 @@ Every cell of a ring (or torus) holds a data value plus a small vector of
 pointers ("arms") that may target any other cell.  One synchronous step
 computes, for every cell, new data and new pointers from a read-only snapshot
 of generation t and commits all results at once; a cell only ever writes its
-own state, so there are no write conflicts by construction.
+own state, so there are no write conflicts by construction.  The states a step
+allocates are acyclic and reference counting frees them, so :func:`run`
+pauses the cyclic garbage collector while it steps.
 
 Three model variants differ only in how the effective target of an arm is
 obtained:
@@ -61,7 +63,9 @@ data rule still runs for every cell first, so a failure names the same cell.
 
 from __future__ import annotations
 
+import gc
 import random as _random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
@@ -812,6 +816,19 @@ def _apply_events(cfg: Configuration, events: dict) -> None:
         fn(cfg)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, until the block exits."""
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
 def run(
     cfg: Configuration,
     ruleset: RuleSet,
@@ -833,7 +850,9 @@ def run(
     order, ``seed`` seeds one stream that every sweep draws its order from.
     A fixed-point run is guarded by ``step_limit`` (default ``10*n + 64``);
     exceeding it raises :class:`StepLimitError`.  The input configuration is
-    not modified.
+    not modified.  The cyclic garbage collector is paused while the run steps,
+    and the caller's setting comes back on every exit; so reference cycles a
+    rule builds are reclaimed only after the run returns.
     """
     if mode not in ("sync", "async"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -856,24 +875,25 @@ def run(
     open_ended = not isinstance(stop, Steps)
     limit = step_limit if step_limit is not None else default_step_limit(cfg.n)
     steps = 0
-    while True:
-        if isinstance(stop, Steps) and steps >= stop.count:
-            return RunResult(current, steps, "steps", trace)
-        if open_ended and steps >= limit:
-            raise StepLimitError(limit, current.time)
-        edge_sink = [] if record_edges else None
-        if mode == "sync":
-            nxt = step_sync(current, ruleset, edge_sink=edge_sink)
-        else:
-            nxt = step_async(current, ruleset, order=order, seed=seed)
-        steps += 1
-        if schedule:
-            _apply_events(nxt, schedule)
-        if trace is not None:
-            if record_edges:
-                trace.edges.append(edge_sink)
-            if record_states:
-                trace.snapshots.append(nxt.copy())
-        if isinstance(stop, FixedPoint) and nxt.states == current.states:
-            return RunResult(nxt, steps, "fixed-point", trace)
-        current = nxt
+    with _collector_paused():
+        while True:
+            if isinstance(stop, Steps) and steps >= stop.count:
+                return RunResult(current, steps, "steps", trace)
+            if open_ended and steps >= limit:
+                raise StepLimitError(limit, current.time)
+            edge_sink = [] if record_edges else None
+            if mode == "sync":
+                nxt = step_sync(current, ruleset, edge_sink=edge_sink)
+            else:
+                nxt = step_async(current, ruleset, order=order, seed=seed)
+            steps += 1
+            if schedule:
+                _apply_events(nxt, schedule)
+            if trace is not None:
+                if record_edges:
+                    trace.edges.append(edge_sink)
+                if record_states:
+                    trace.snapshots.append(nxt.copy())
+            if isinstance(stop, FixedPoint) and nxt.states == current.states:
+                return RunResult(nxt, steps, "fixed-point", trace)
+            current = nxt

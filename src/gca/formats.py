@@ -185,8 +185,8 @@ def snapshot_parse(text: str) -> tuple[Configuration, dict]:
 def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
     """Binary P5 image of a data grid: 0 renders white, 1 renders black.
 
-    Other grids of ints and finite floats get a linear grayscale (minimum
-    white, maximum black); any other cell data is a
+    Other grids of numbers that fit a finite float get a linear grayscale
+    (minimum white, maximum black); any other cell data is a
     :class:`PreconditionError`.
     ``tile2`` tiles the pattern 2x2, doubling both dimensions.
     """
@@ -201,14 +201,18 @@ def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
         pix = [255 if v == 0 else 0 for v in flat]
     elif not all(isinstance(v, (int, float)) for v in flat):
         raise PreconditionError("PGM needs a grid of real numbers")
-    elif not all(math.isfinite(v) for v in flat if isinstance(v, float)):
-        raise PreconditionError("PGM needs finite cell data")
     else:
-        lo, hi = min(flat), max(flat)
+        try:  # halves keep hi - lo finite for any two finite floats
+            half = [v / 2 for v in flat]
+        except OverflowError:
+            raise PreconditionError("PGM needs cell data that fit a float") from None
+        if not all(map(math.isfinite, half)):
+            raise PreconditionError("PGM needs finite cell data")
+        lo, hi = min(half), max(half)
         if hi == lo:
             pix = [255] * len(flat)
         else:
-            pix = [255 - round(255 * (v - lo) / (hi - lo)) for v in flat]
+            pix = [255 - round(255 * ((v - lo) / (hi - lo))) for v in half]
     h = len(rows)
     w = len(rows[0])
     header = f"P5\n{w} {h}\n255\n".encode("ascii")

@@ -57,8 +57,10 @@ def criterion(num: int, label: str, budget: float):
     Budgets are checked against min(wall, CPU) time: on a contended host the
     wall clock can inflate arbitrarily, but the process CPU time still tells
     whether the implementation itself fits the budget.  Cyclic GC pauses are
-    excluded too (the engine allocates acyclically at a high rate, so what the
-    collector costs depends on whatever else the process has imported).
+    excluded too; the engine now pauses the collector itself during runs, and
+    this also covers the work around them (the engine allocates acyclically at
+    a high rate, so what the collector costs depends on whatever else the
+    process has imported).
     """
 
     def wrap(fn):

@@ -1,5 +1,6 @@
 """Pipeline schedules, hazard freedom, capacity formulas, workload bridging."""
 
+import gc
 import io
 import random
 import re
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gca import GcaError, PreconditionError, RuleEvaluationError, Steps
+from gca import archsim
 from gca.algorithms import alg_max, alg_prefix_sum_horn, alg_reduce
 from gca.archsim import (
     ArchParams,
@@ -146,6 +148,40 @@ def test_unknown_stage_rejected():
     events = [PipelineEvent(cycle=1, stage="Load", lane=0, cell=0, bank=0)]
     with pytest.raises(PreconditionError, match="unknown pipeline stage 'Load'"):
         _check_hazards(events, ArchParams(n=4, k=1))
+
+
+def test_schedule_build_pauses_the_collector(collector_on, monkeypatch):
+    seen = []
+
+    def check(events, params=None):
+        seen.append(gc.isenabled())
+        return _check_hazards(events, params)
+
+    monkeypatch.setattr(archsim, "_check_hazards", check)
+    sched = dpa_simulate(ArchParams(n=8, k=2, p=2), generations=3)
+    assert sched.total_cycles == 3 * 4 + 3 + 2
+    assert seen == [False]
+    assert gc.isenabled()
+    gc.disable()
+    seq_pipeline_simulate(ArchParams(n=5, k=1), generations=2)
+    assert seen == [False, False]
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("outcome, error", [
+    (RuntimeError("check failed"), RuntimeError),  # the check itself raises
+    (["cycle 1: double read"], GcaError),  # a hazard found: _simulate raises
+])
+def test_schedule_build_restores_the_collector_when_it_raises(collector_on, monkeypatch, outcome, error):
+    def check(events, params=None):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(archsim, "_check_hazards", check)
+    with pytest.raises(error):
+        dpa_simulate(ArchParams(n=8, k=1, p=4), generations=2)
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,23 @@ def test_pgm_of_data_that_is_not_finite_is_a_precondition_error(outdir, tmp_path
     assert list(outdir.glob("*.pgm")) == []
 
 
+def test_pgm_of_floats_whose_range_overflows(outdir, tmp_path):
+    snap = tmp_path / "wide.txt"
+    cfg = make_configuration([1e308, -1e308, 0.0, 1e308], (), Topology.torus(2, 2))
+    snap.write_text(formats.snapshot_dump(cfg))
+    assert main(["render", str(snap), "--format", "pgm"]) == 0
+    assert (outdir / "wide.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 127, 0])
+
+
+def test_pgm_of_an_int_too_large_for_a_float_is_a_precondition_error(outdir, tmp_path, capsys):
+    snap = tmp_path / "huge.txt"
+    cfg = make_configuration([10**400, 0.5, 2, 3], (), Topology.torus(2, 2))
+    snap.write_text(formats.snapshot_dump(cfg))
+    assert main(["render", str(snap), "--format", "pgm"]) == 2
+    assert "PGM needs cell data that fit a float" in capsys.readouterr().err
+    assert list(outdir.glob("*.pgm")) == []
+
+
 def test_edges_are_written_whatever_the_format(outdir, tmp_path, monkeypatch):
     assert main(["run", "--alg", "max", "--n", "8", "--format", "none", "--edges"]) == 0
     assert sorted(p.name for p in outdir.iterdir()) == ["max-config.txt", "max-edges.csv"]

@@ -1,6 +1,8 @@
 """Engine semantics: addressing, two-phase stepping, halting, traces."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -544,6 +546,105 @@ def test_run_applies_events():
         [0, 10, 0], [1, 11, 1], [2, 22, 2], [3, 23, 3]
     ]
     assert cfg.data() == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# cyclic garbage collector
+
+def recording_ruleset(seen, data_rule=incr_rule):
+    def data(ctx):
+        seen.append(gc.isenabled())
+        return data_rule(ctx)
+
+    return RuleSet(variant="basic", arms=1, data_rule=data, pointer_rule=keep_pointers)
+
+
+def test_run_pauses_the_collector_while_it_steps(collector_on):
+    seen = []
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+    result = run(cfg, recording_ruleset(seen), Steps(4))
+    assert result.config.data() == [4, 4, 4]
+    assert seen == [False] * 12
+    assert gc.isenabled()
+
+
+def _rule_failure(ctx):
+    if ctx.t == 2:
+        raise ValueError("boom")
+    return ctx.cell.data
+
+
+def _raise_in_event(cfg):
+    raise RuntimeError("event failed")
+
+
+@pytest.mark.parametrize("case", ["rule", "step-limit", "event-at-0", "event-later"])
+def test_run_restores_the_collector_when_it_raises(collector_on, case):
+    seen = []
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+    if case == "rule":
+        with pytest.raises(RuleEvaluationError):
+            run(cfg, recording_ruleset(seen, _rule_failure), Steps(5))
+    elif case == "step-limit":
+        with pytest.raises(StepLimitError):
+            run(cfg, recording_ruleset(seen), FixedPoint(), step_limit=3)
+    else:
+        when = 0 if case == "event-at-0" else 2
+        with pytest.raises(RuntimeError, match="event failed"):
+            run(cfg, recording_ruleset(seen), Steps(5), events=((when, _raise_in_event),))
+    assert gc.isenabled()
+    assert not any(seen)
+
+
+def test_run_leaves_a_disabled_collector_disabled(collector_on):
+    seen = []
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+    gc.disable()
+    run(cfg, recording_ruleset(seen), Steps(2))
+    assert not gc.isenabled()
+    with pytest.raises(StepLimitError):
+        run(cfg, recording_ruleset(seen), FixedPoint(), step_limit=2)
+    assert not gc.isenabled()
+    assert seen == [False] * 12
+
+
+def test_run_nested_in_a_rule_leaves_the_outer_run_paused(collector_on):
+    inner_cfg = make_configuration([0, 0], (1,), Topology.ring(2))
+    after_inner = []
+
+    def data(ctx):
+        if ctx.i == 0:
+            run(inner_cfg, recording_ruleset([]), Steps(1))
+            after_inner.append(gc.isenabled())
+        return ctx.cell.data + 1
+
+    rs = RuleSet(variant="basic", arms=1, data_rule=data, pointer_rule=keep_pointers)
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+    assert run(cfg, rs, Steps(3)).config.data() == [3, 3, 3]
+    assert after_inner == [False] * 3
+    assert gc.isenabled()
+
+
+class _Node:
+    pass
+
+
+def test_cycles_a_rule_builds_are_reclaimed_after_the_run(collector_on):
+    refs = []
+
+    def data(ctx):
+        if ctx.i == 0:
+            node = _Node()
+            node.self = node
+            refs.append(weakref.ref(node))
+        return ctx.cell.data + 1
+
+    rs = RuleSet(variant="basic", arms=1, data_rule=data, pointer_rule=keep_pointers)
+    cfg = make_configuration([0] * 4, (1,), Topology.ring(4))
+    run(cfg, rs, Steps(5))
+    gc.collect()
+    assert len(refs) == 5
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,15 @@ def test_pgm_constant_nonbinary():
 def test_pgm_empty_grid():
     with pytest.raises(PreconditionError, match="empty"):
         pgm_bytes([])
+
+
+def test_pgm_grayscale_of_floats_whose_range_overflows():
+    # hi - lo is inf here, but the halves' difference is finite
+    assert pgm_bytes([[1e308, -1e308]])[-2:] == bytes([0, 255])
+    assert pgm_bytes([[-1.7e308, 0.0, 1.7e308]])[-3:] == bytes([255, 127, 0])
+
+
+@pytest.mark.parametrize("grid", [[[10**400, 0.5]], [[10**400, 0]], [[-(10**400), 2, 3]]])
+def test_pgm_of_numbers_too_large_for_a_float_is_a_precondition_error(grid):
+    with pytest.raises(PreconditionError, match="fit a float"):
+        pgm_bytes(grid)
