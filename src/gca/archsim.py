@@ -155,11 +155,11 @@ def _simulate(params: ArchParams, generations: int) -> Schedule:
 _PORTS = {"Fetch": ("read", "R"), "Get": ("read", "S1"), "Write": ("write", "R")}
 
 
-def _check_hazards(events: list[PipelineEvent], params: ArchParams | None = None) -> list[str]:
+def _check_hazards(events: list[PipelineEvent]) -> list[str]:
     """Each memory read port and each write bank may serve one access per
     cycle.  Reads and writes of one memory may share a cycle (separate
     ports); writes forward to same-cycle reads of the same address.  The
-    claims depend on the events alone; ``params`` is ignored.
+    claims depend on the events alone.
     """
     claims: dict[tuple, PipelineEvent] = {}
     conflicts: list[str] = []

@@ -176,6 +176,8 @@ def cmd_run(cfg: RunConfig) -> int:
         return 1
     mode, order, seed = _parse_mode(cfg)
     spec = _build_spec(cfg)
+    if cfg.pointers and not spec.topology.is_2d and spec.ruleset.variant == "plain":
+        raise PreconditionError(f"{cfg.alg}: its cells store no pointers to write")
     if cfg.stop == "fixed-point":
         stop = FixedPoint()
     elif cfg.stop is None:

@@ -40,16 +40,18 @@ holds one stored tuple object, or one call of any other modifier per cell,
 made before any read.  When every cell's addresses are one object (``is``),
 each arm's neighbours are one rotation of the states (:func:`_rotations`): a
 slice pair on a ring, a slice pair per row after a row rotation on a torus.
-All reads then come before any rule runs, and the rules run over the cells
-in ascending order, the data rule before the pointer rule at every cell;
-access edges come from the same rotations of the indices, in the per-cell
-order.  Otherwise the per-cell loop runs, reusing the addresses resolved so
-far, so no rule is called twice.  Failures name the same cell, t, state and
-reads as the per-cell loop, except that a failure of a modifier that is not
-a :class:`ByPointer` at a later cell can be reported ahead of an earlier
-cell's data-rule failure.  Asynchronous sweeps, ``phase1_order``,
-:func:`gather_neighbors`, the plain variant and absolute addressing always
-use the per-cell loop.
+All reads then come before any rule runs, and the rules run over the cells in
+ascending order, the data rule before the pointer rule at every cell; access
+edges come from the same rotations of the indices, in the per-cell order.
+Above 64 cells it commits in one pass after all rules ran, so a failure stores
+nothing, and cells whose new pointers are one tuple and new data one object
+may share one state.  Otherwise the per-cell loop runs, reusing the addresses
+resolved so far, so no rule is called twice.  Failures name the same cell, t,
+state and reads as the per-cell loop, except that a failure of a modifier that
+is not a :class:`ByPointer` at a later cell can be reported ahead of an
+earlier cell's data-rule failure.  Asynchronous sweeps, ``phase1_order``,
+:func:`gather_neighbors`, the plain variant and absolute addressing always use
+the per-cell loop.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
@@ -67,6 +69,8 @@ import gc
 import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from math import prod
 from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
 __all__ = [
@@ -191,10 +195,12 @@ class Topology:
     """
 
     dims: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)  # the cell count
 
     def __post_init__(self) -> None:
         if len(self.dims) not in (1, 2) or any(d < 1 for d in self.dims):
             raise PreconditionError(f"bad topology dims {self.dims}")
+        object.__setattr__(self, "n", prod(self.dims))
 
     @staticmethod
     def ring(n: int) -> "Topology":
@@ -203,13 +209,6 @@ class Topology:
     @staticmethod
     def torus(w: int, h: int) -> "Topology":
         return Topology((w, h))
-
-    @property
-    def n(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
 
     @property
     def is_2d(self) -> bool:
@@ -301,18 +300,15 @@ def make_configuration(
 ) -> Configuration:
     """Build a generation-0 configuration from parallel data/pointer vectors.
 
-    ``pointers`` may be one tuple (same for every cell), a per-cell sequence,
-    or None for plain-model states.
+    ``pointers`` may be one tuple (same for every cell; cells whose data are
+    one object may then share a state), a per-cell sequence, or None for
+    plain-model states.
     """
-    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
     if pointers is None or isinstance(pointers, tuple):
-        shared = pointers or ()
-        states = [tnew(CellState, (d, shared)) for d in data]
-    else:
-        if len(pointers) != topology.n:
-            raise PreconditionError("pointer vector length mismatch")
-        states = [tnew(CellState, (d, tuple(p))) for d, p in zip(data, pointers)]
-    return Configuration(states, topology)
+        return Configuration(_states(data, pointers or ()), topology)
+    if len(pointers) != topology.n:
+        raise PreconditionError("pointer vector length mismatch")
+    return Configuration(_states(zip(data, map(tuple, pointers))), topology)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +505,28 @@ def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
 _UNSET = object()
 
 
+# Over _SHARE_FROM cells with one pointer tuple share states if the first _SAMPLE
+# cells' data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns
+# each; shared, 180-210 for up to 16 objects, 481 for 4096.  Sampling 8 (16)
+# cells costs 1.5 (2.5) us, a 64-cell reduce step 30 us.
+_SHARE_FROM = 64
+_SAMPLE = 8
+_FEW = 4
+
+
+def _states(data: Iterable, pointers: Any = _UNSET) -> list:
+    """States of cells holding ``data`` and the one tuple ``pointers`` (cells
+    whose data are one object may share one, by ``is``), or the pairs in ``data``."""
+    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
+    if pointers is not _UNSET:
+        if len(data) > _SHARE_FROM and len(set(map(id, data[:_SAMPLE]))) <= _FEW:
+            ids = list(map(id, data))
+            one = {k: tnew(CellState, (d, pointers)) for k, d in dict(zip(ids, data)).items()}
+            return list(map(one.__getitem__, ids))
+        data = zip(data, repeat(pointers))
+    return list(map(tnew, repeat(CellState), data))
+
+
 def _no_pointers(ctx: RuleContext) -> tuple:
     """Pointer rule of the plain variant, whose cells store no pointers."""
     return ()
@@ -529,8 +547,9 @@ def _phase1(
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.  Any
     rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
-    the cell's state and what it read; the cells evaluated so far are in
-    ``out`` only.
+    the cell's state and what it read; the cells stored so far are in ``out``
+    only.  Above 64 cells, a uniform generation stores into the list ``out``
+    by slice after its rules ran, so nothing when a rule fails.
 
     ``order`` None is a whole synchronous generation in ascending order.
     For its relative basic and general rules, phase 1 first resolves the
@@ -542,9 +561,9 @@ def _phase1(
     through :func:`_rotations` before any rule runs, and the edges come
     from rotations of the indices.  The per-cell loop takes over, reusing
     the addresses resolved ahead: from cell 0 when they are not one
-    object, and from the first cell that does not hold p0, before it
-    reads.  So a modifier failure can be reported ahead of an earlier
-    cell's data-rule failure.
+    object, and from the first cell that does not hold p0, after the
+    prefix before it is stored.  So a modifier failure can be reported
+    ahead of an earlier cell's data-rule failure.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -560,9 +579,9 @@ def _phase1(
     # by-pointer and is called for no such cell.
     by_g = plain or type(g) is ByPointer
     by_modifier = type(modifier) is ByPointer
-    gp = () if plain else _UNSET
+    gp = gr = () if plain else _UNSET
     mp = _UNSET
-    gr = eff_m = ()
+    eff_m = ()
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -609,6 +628,9 @@ def _phase1(
                     mark = len(edge_sink)
                     targets = zip(*_rotations(topology, eff, list(order)))
                     edge_sink.extend([(c, j) for c, js in zip(order, targets) for j in js])
+                # bulk: commit the data ds after the loop; cuts: (cell, new pointers)
+                # where those change object; gb stands in for gp
+                bulk, ds, cuts, gb = n > _SHARE_FROM, [], [], _UNSET
                 for i, q, nb in zip(order, states, zip(*vectors)):
                     p = q[1]
                     ctx.i = i
@@ -617,22 +639,38 @@ def _phase1(
                     try:
                         if p is gp:
                             out[i] = tnew(cs, (f(ctx), gr))
+                        elif p is gb:
+                            ds.append(f(ctx))
                         elif hold and p is not p0:
                             break
-                        elif by_g:
-                            d = f(ctx)
-                            gr = g(ctx)
-                            gp = p
-                            out[i] = tnew(cs, (d, gr))
                         else:
-                            out[i] = tnew(cs, (f(ctx), g(ctx)))
+                            d = f(ctx)
+                            r = g(ctx)
+                            if not bulk:
+                                out[i] = tnew(cs, (d, r))
+                                gp = p if by_g else gp
+                            else:
+                                ds.append(d)
+                                gb = p if by_g else gb
+                                if r is not gr:
+                                    cuts.append((i, r))
+                            gr = r
                     except GcaError:
                         raise
                     except Exception as exc:
                         raise RuleEvaluationError(i, t, exc, q, nb) from exc
                 else:
+                    i = n
+                if bulk and len(cuts) == 1:
+                    out[:i] = _states(ds, gr)
+                elif bulk:  # the new pointer tuples differ: pairs, no sharing
+                    ends = [a for a, _ in cuts[1:]] + [i]
+                    ps = [r for (a, r), b in zip(cuts, ends) for _ in range(b - a)]
+                    out[:i] = _states(zip(ds, ps))
+                if i == n:
                     return
                 # cell i holds another tuple: the access plan takes over
+                gp = gb if bulk else gp
                 order = range(i, n)
                 if edge_sink is not None:
                     del edge_sink[mark + i * arms :]

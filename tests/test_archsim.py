@@ -107,26 +107,24 @@ def test_schedules_are_hazard_free():
 
 
 def test_synthetic_write_conflict_detected():
-    params = ArchParams(n=4, k=1)
     # two writes to the same copy set / memory / bank in one cycle
     events = [
         PipelineEvent(cycle=4, stage="Write", lane=0, cell=0, bank=0),
         PipelineEvent(cycle=4, stage="Write", lane=0, cell=1, bank=0),
     ]
-    conflicts = _check_hazards(events, params)
+    conflicts = _check_hazards(events)
     assert conflicts == ["cycle 4: double write on ('R', 0) (cells 0 and 1)"]
 
 
 def test_synthetic_read_conflict_detected():
-    params = ArchParams(n=8, k=1)
     events = [
         PipelineEvent(cycle=1, stage="Fetch", lane=0, cell=0, bank=0),
         PipelineEvent(cycle=1, stage="Fetch", lane=0, cell=4, bank=0),
     ]
-    conflicts = _check_hazards(events, params)
+    conflicts = _check_hazards(events)
     assert conflicts == ["cycle 1: double read on ('R', 0) (cells 0 and 4)"]
     # one event listed twice still claims its port twice
-    assert _check_hazards(events[:1] * 2, params) == [
+    assert _check_hazards(events[:1] * 2) == [
         "cycle 1: double read on ('R', 0) (cells 0 and 0)"
     ]
 
@@ -134,28 +132,27 @@ def test_synthetic_read_conflict_detected():
 def test_synthetic_get_conflict_detected():
     # two Gets on one lane's copies in one cycle; banks differ, so only the
     # lane's S copies can collide
-    params = ArchParams(n=8, k=3, p=4)
     events = [
         PipelineEvent(cycle=2, stage="Get", lane=1, cell=1, bank=1),
         PipelineEvent(cycle=2, stage="Get", lane=1, cell=6, bank=2),
     ]
-    conflicts = _check_hazards(events, params)
+    conflicts = _check_hazards(events)
     assert conflicts == ["cycle 2: double read on ('S1', 1) (cells 1 and 6)"]
-    assert _check_hazards(events[:1] + [events[1]._replace(lane=2)], params) == []
+    assert _check_hazards(events[:1] + [events[1]._replace(lane=2)]) == []
 
 
 def test_unknown_stage_rejected():
     events = [PipelineEvent(cycle=1, stage="Load", lane=0, cell=0, bank=0)]
     with pytest.raises(PreconditionError, match="unknown pipeline stage 'Load'"):
-        _check_hazards(events, ArchParams(n=4, k=1))
+        _check_hazards(events)
 
 
 def test_schedule_build_pauses_the_collector(collector_on, monkeypatch):
     seen = []
 
-    def check(events, params=None):
+    def check(events):
         seen.append(gc.isenabled())
-        return _check_hazards(events, params)
+        return _check_hazards(events)
 
     monkeypatch.setattr(archsim, "_check_hazards", check)
     sched = dpa_simulate(ArchParams(n=8, k=2, p=2), generations=3)
@@ -173,7 +170,7 @@ def test_schedule_build_pauses_the_collector(collector_on, monkeypatch):
     (["cycle 1: double read"], GcaError),  # a hazard found: _simulate raises
 ])
 def test_schedule_build_restores_the_collector_when_it_raises(collector_on, monkeypatch, outcome, error):
-    def check(events, params=None):
+    def check(events):
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -326,7 +323,7 @@ _OWN_PORT = re.compile(r"on \('(R|S1)', -?\d+\) ")
 def test_hazard_check_matches_reference(case):
     params, events = case
     ref = reference_hazards(events, params)
-    got = _check_hazards(events, params)
+    got = _check_hazards(events)
     assert bool(got) == bool(ref)
     assert got[:1] == ref[:1]
     assert got == [m for m in ref if _OWN_PORT.search(m)]

@@ -153,6 +153,16 @@ def test_run_pointer_rows(outdir):
     assert (outdir / "xor1d-basic-p2.txt").exists()
 
 
+def test_pointer_rows_of_cells_without_pointers_are_a_precondition_error(outdir, capsys):
+    assert main(["run", "--alg", "fft", "--pointers"]) == 2
+    assert "fft: its cells store no pointers" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+    # a 2-D entry ignores the flag, with pointers or without
+    for alg in ("xor-plain", "xor2d-r1"):
+        assert main(["run", "--alg", alg, "--pointers"]) == 0
+        assert not list(outdir.glob(f"{alg}-p*.txt"))
+
+
 def test_run_csv_format(outdir):
     main(["run", "--alg", "max", "--n", "4", "--steps", "2", "--format", "csv"])
     lines = (outdir / "max.csv").read_text().splitlines()

@@ -515,3 +515,140 @@ def test_failures_match_the_reference(case, data):
                 assert (exc.cell, exc.time, exc.state, exc.read) == want
             else:
                 assert want is None
+
+
+# ---------------------------------------------------------------------------
+# shared states: cells may share one state object only when its data and its
+# pointers are the very objects each of them holds
+
+BIG = 10**30
+# equal but distinct objects (1, True and 1.0; BIG and its copy) and an
+# unhashable one: only identity may merge them
+POOL = (0, 1, True, 1.0, BIG, int(str(BIG)), [1])
+assert POOL[4] is not POOL[5]
+
+palettes = st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=len(POOL),
+                    unique=True).map(lambda ks: [POOL[k] for k in ks])
+
+
+def code(obj):
+    """The position of ``obj`` in POOL, by identity."""
+    return next(k for k, o in enumerate(POOL) if o is obj)
+
+
+def check_states(states, data, pointers):
+    """Cell i holds the very objects ``data[i]`` and ``pointers[i]``, and two
+    cells share a state object only when both its parts are theirs."""
+    owner = {}
+    for q, d, p in zip(states, data, pointers):
+        assert q.data is d and q.pointers is p
+        other = owner.setdefault(id(q), (d, p))
+        assert other[0] is d and other[1] is p
+
+
+@st.composite
+def pool_automata(draw):
+    """A relative basic or general automaton whose cells all hold one
+    pointer tuple and whose data rule returns POOL objects from a palette,
+    on a ring or torus on both sides of the sharing threshold.  The new
+    pointers are one ByPointer result per stored tuple, one of two prebuilt
+    tuples, or a new tuple per cell.  Returns the configuration, the rule
+    set, and the lists that the rules fill with what they returned per
+    cell."""
+    variant = draw(st.sampled_from(("basic", "general")))
+    arms = draw(st.integers(1, 4))
+    large = draw(st.booleans())
+    if draw(st.booleans()):
+        side = st.integers(9, 12) if large else st.integers(1, 8)
+        topo = Topology.torus(draw(side), draw(side))
+        address = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    else:
+        topo = Topology.ring(draw(st.integers(60, 150) if large else st.integers(1, 12)))
+        address = st.integers(-25, 25)
+    n = topo.n
+    palette = draw(palettes)
+    data, news = [None] * n, [None] * n
+
+    def data_rule(ctx):
+        k = code(ctx.cell.data) + ctx.i + ctx.t
+        k += sum((j + 2) * code(q.data) for j, q in enumerate(ctx.neighbors))
+        data[ctx.i] = palette[k % len(palette)]
+        return data[ctx.i]
+
+    # a ByPointer rule twice as often: its new pointers are one tuple, so
+    # cells may share states
+    kind = draw(st.sampled_from(("by-pointer", "by-pointer", "two", "fresh")))
+    if kind == "by-pointer":
+        g = ByPointer(by_pointer_make(arms, 1))
+    else:
+        two = [draw(st.tuples(*[address] * arms)) for _ in range(2)]
+        stride = draw(st.integers(1, n))
+
+        def g(ctx):
+            if kind == "two":
+                news[ctx.i] = two[ctx.i // stride % 2]
+            else:
+                cells = zip(ctx.cell.pointers, ctx.neighbors)
+                news[ctx.i] = tuple(shift(p, code(q.data)) for p, q in cells)
+            return news[ctx.i]
+
+    shape = dict(variant=variant, arms=arms, data_rule=data_rule, pointer_rule=g)
+    if variant == "general" and draw(st.booleans()):
+        shape["address_modifier"] = ByPointer(by_pointer_make(arms, 2))
+    elif variant == "general":
+        vector = draw(st.tuples(*[address] * arms))
+        shape["address_modifier"] = prebuilt_modifier(vector, vector)
+    values = [draw(st.sampled_from(palette)) for _ in range(n)]
+    cfg = make_configuration(values, draw(st.tuples(*[address] * arms)), topo)
+    cfg.time = draw(st.integers(0, 5))
+    return cfg, RuleSet(**shape), data, news
+
+
+@given(pool_automata())
+def test_a_uniform_generation_stores_the_objects_its_rules_returned(case):
+    # as drawn, and with one cell in the middle holding another tuple
+    # (phase 1 stores the cells before it, then the per-cell loop takes over)
+    drawn, rs, data, news = case
+    for cfg in (drawn, sharing_cell_0s_tuple(drawn, drawn.n // 2)):
+        edges = []
+        nxt = step_sync(cfg, rs, edge_sink=edges)
+        if type(rs.pointer_rule) is ByPointer:
+            news = [rs.pointer_rule.memo[q.pointers[0]] for q in cfg.states]
+        check_states(nxt.states, list(data), list(news))
+        assert nxt.states == reference_sync(cfg, rs)
+        assert edges == reference_edges(cfg, rs, range(cfg.n))
+
+
+@given(pool_automata(), st.data())
+def test_a_failing_large_uniform_generation_stores_nothing(case, data):
+    cfg, rs, _, _ = case
+    assume(cfg.n > 64)
+    bad = data.draw(st.integers(0, cfg.n - 1))
+    broken = replace(rs, data_rule=fail_at(rs.data_rule, bad))
+    out = [None] * cfg.n
+    try:
+        _phase1(broken, cfg.topology, cfg.time, cfg.states, out, None)
+    except RuleEvaluationError as exc:
+        assert exc.cell == bad
+    else:
+        raise AssertionError("no RuleEvaluationError")
+    assert out == [None] * cfg.n
+
+
+@given(palettes, st.one_of(st.integers(1, 12), st.integers(60, 150)), st.data())
+def test_make_configuration_keeps_the_objects_it_was_given(palette, n, data):
+    values = [data.draw(st.sampled_from(palette)) for _ in range(n)]
+    p0 = tuple([1, 2])  # with an equal but distinct copy below
+    per_cell = [data.draw(st.sampled_from([p0, tuple([1, 2]), (3,)])) for _ in range(n)]
+    for pointers, held in ((p0, [p0] * n), (per_cell, per_cell), (None, [()] * n)):
+        check_states(make_configuration(values, pointers, Topology.ring(n)).states, values, held)
+
+
+def test_large_uniform_generations_share_their_states():
+    # 0s and 1s on one pointer tuple: one state per data object
+    cfg = make_configuration([0, 1] * 50, (1,), Topology.ring(100))
+    assert len({id(q) for q in cfg.states}) == 2
+    nxt = step_sync(cfg, RuleSet(variant="basic", arms=1, pointer_rule=ByPointer(lambda p: (p,)),
+                                 data_rule=lambda ctx: ctx.neighbors[0].data))
+    assert len({id(q) for q in nxt.states}) == 2
+    assert nxt.data() == [1, 0] * 50

@@ -1,0 +1,115 @@
+"""What one synchronous step costs, compared between source trees.
+
+    python3 tools/step_cost.py TREE [TREE ...] [--rounds N]
+
+Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
+1024 and of xor2d-r1 on 8x8 and 64x64 tori, each from the entry's
+generation 0.  Every measurement runs in a fresh interpreter that imports
+``gca`` from ``TREE/src`` alone; the trees alternate within each round (the
+first tree leads in odd rounds, the last in even ones).  A process repeats
+the step in 60 batches of about 20 ms of CPU time each, with the cyclic
+collector paused as ``core.run`` pauses it, and reports its fastest batch
+in microseconds per step.
+
+Prints each case's median and minimum over the rounds per tree, and each
+later tree's change against the first; the last line is the same table,
+with every sample, as one JSON object.  On a shared host a process can
+run at half speed for a second at a time; the 60 batches let each process
+see a faster stretch, and the minimum is the steadier number.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+CASES = [
+    ("reduce-sum", {"n": 8}),
+    ("reduce-sum", {"n": 32}),
+    ("reduce-sum", {"n": 64}),
+    ("reduce-sum", {"n": 1024}),
+    ("xor2d-r1", {"n": 8}),
+    ("xor2d-r1", {"n": 64}),
+]
+
+# Run as ``python3 -c CHILD SRC NAME KWARGS``: prints microseconds per step.
+CHILD = """\
+import gc, json, sys, time
+sys.path.insert(0, sys.argv[1])
+import gca
+from gca.algorithms import CATALOG
+spec = CATALOG[sys.argv[2]](**json.loads(sys.argv[3]))
+cfg, rs = spec.initial(), spec.ruleset
+step = gca.step_sync
+clock = time.process_time_ns
+gc.disable()
+reps = 1
+while True:  # about 20 ms per batch
+    t0 = clock()
+    for _ in range(reps):
+        step(cfg, rs)
+    if clock() - t0 > 20_000_000:
+        break
+    reps *= 2
+batches = []
+for _ in range(60):
+    t0 = clock()
+    for _ in range(reps):
+        step(cfg, rs)
+    batches.append((clock() - t0) / reps / 1000)
+print(min(batches))
+"""
+
+
+def label(name: str, kwargs: dict) -> str:
+    n = kwargs["n"]
+    return f"{name} {n}x{n}" if name.startswith("xor2d") else f"{name} n={n}"
+
+
+def measure(tree: Path, name: str, kwargs: dict) -> float:
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tree / "src"), name, json.dumps(kwargs)],
+        check=True, capture_output=True, text=True, cwd=tree,
+    )
+    return float(out.stdout.split()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("trees", nargs="+", type=Path)
+    ap.add_argument("--rounds", type=int, default=5)
+    args = ap.parse_args(argv)
+    trees = [t.resolve() for t in args.trees]
+    for tree in trees:
+        if not (tree / "src" / "gca").is_dir():
+            ap.error(f"{tree} has no src/gca")
+    samples = {(label(*c), t): [] for c in CASES for t in range(len(trees))}
+    for r in range(args.rounds):
+        order = range(len(trees)) if r % 2 == 0 else range(len(trees) - 1, -1, -1)
+        for case in CASES:
+            for t in order:
+                samples[label(*case), t].append(measure(trees[t], *case))
+    table = {}
+    print(f"us per step_sync over {args.rounds} fresh processes per tree: median, min")
+    for case in CASES:
+        key = label(*case)
+        row, cells = {}, []
+        for stat in (statistics.median, min):
+            values = [stat(samples[key, t]) for t in range(len(trees))]
+            cells += [f"{v:10.2f}" for v in values]
+            cells += [f"{100 * (v / values[0] - 1):+7.1f}%" for v in values[1:]]
+        print(f"{key:22}", *cells)
+        for t, tree in enumerate(trees):
+            xs = samples[key, t]
+            row[str(tree)] = {"median": statistics.median(xs), "min": min(xs), "samples": xs}
+        table[key] = row
+    print(json.dumps({"rounds": args.rounds, "us_per_step": table}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
