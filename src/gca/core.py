@@ -43,13 +43,14 @@ slice pair on a ring, a slice pair per row after a row rotation on a torus.
 All reads then come before any rule runs, and the rules run over the cells in
 ascending order, the data rule before the pointer rule at every cell; access
 edges come from the same rotations of the indices, in the per-cell order.
-Above 64 cells it commits in one pass after all rules ran, so a failure stores
-nothing, and cells whose new pointers are one tuple and new data one object
-may share one state.  Otherwise the per-cell loop runs, reusing the addresses
-resolved so far, so no rule is called twice.  Failures name the same cell, t,
-state and reads as the per-cell loop, except that a failure of a modifier that
-is not a :class:`ByPointer` at a later cell can be reported ahead of an
-earlier cell's data-rule failure.  Asynchronous sweeps, ``phase1_order``,
+Above 64 cells, with a :class:`ByPointer` pointer rule, the cells before the
+first whose pointers are not cell 0's are stored in one pass once their rules
+ran (a failure stores none), cells whose new data are one object sharing one
+state.  Otherwise the per-cell loop runs, reusing the addresses resolved so
+far, so no rule is called twice.  Failures name the same cell, t, state and
+reads as the per-cell loop, except that a failure of a modifier that is not a
+:class:`ByPointer` at a later cell can be reported ahead of an earlier cell's
+data-rule failure.  Asynchronous sweeps, ``phase1_order``,
 :func:`gather_neighbors`, the plain variant and absolute addressing always use
 the per-cell loop.
 
@@ -70,7 +71,6 @@ import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from math import prod
 from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
 
 __all__ = [
@@ -195,12 +195,10 @@ class Topology:
     """
 
     dims: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)  # the cell count
 
     def __post_init__(self) -> None:
         if len(self.dims) not in (1, 2) or any(d < 1 for d in self.dims):
             raise PreconditionError(f"bad topology dims {self.dims}")
-        object.__setattr__(self, "n", prod(self.dims))
 
     @staticmethod
     def ring(n: int) -> "Topology":
@@ -209,6 +207,13 @@ class Topology:
     @staticmethod
     def torus(w: int, h: int) -> "Topology":
         return Topology((w, h))
+
+    @property
+    def n(self) -> int:
+        n = 1
+        for d in self.dims:
+            n *= d
+        return n
 
     @property
     def is_2d(self) -> bool:
@@ -300,9 +305,9 @@ def make_configuration(
 ) -> Configuration:
     """Build a generation-0 configuration from parallel data/pointer vectors.
 
-    ``pointers`` may be one tuple (same for every cell; cells whose data are
-    one object may then share a state), a per-cell sequence, or None for
-    plain-model states.
+    ``pointers`` may be one tuple (same for every cell; when ``data`` is a
+    list, cells whose data are one object may then share a state), a
+    per-cell sequence, or None for plain-model states.
     """
     if pointers is None or isinstance(pointers, tuple):
         return Configuration(_states(data, pointers or ()), topology)
@@ -505,26 +510,26 @@ def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
 _UNSET = object()
 
 
-# Over _SHARE_FROM cells with one pointer tuple share states if the first _SAMPLE
-# cells' data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns
-# each; shared, 180-210 for up to 16 objects, 481 for 4096.  Sampling 8 (16)
-# cells costs 1.5 (2.5) us, a 64-cell reduce step 30 us.
-_SHARE_FROM = 64
-_SAMPLE = 8
-_FEW = 4
+# Over _SHARE_FROM cells with one pointer tuple, share states if the first _SAMPLE
+# data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns each,
+# shared 180-210 for up to 16 objects.  16 and 2 share no fold-1d generation of
+# over n/8 objects (8 and 4 shared 92, and peak RSS rose 1%); the sample costs 2.5 us.
+_SHARE_FROM, _SAMPLE, _FEW = 64, 16, 2
 
 
 def _states(data: Iterable, pointers: Any = _UNSET) -> list:
-    """States of cells holding ``data`` and the one tuple ``pointers`` (cells
-    whose data are one object may share one, by ``is``), or the pairs in ``data``."""
-    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
+    """States of ``data`` with the one tuple ``pointers`` (cells of a list whose
+    data are one object may share one, by ``is``), or of the pairs in ``data``."""
     if pointers is not _UNSET:
-        if len(data) > _SHARE_FROM and len(set(map(id, data[:_SAMPLE]))) <= _FEW:
+        # an id names one object only while a list keeps every datum alive
+        listed = type(data) is list and len(data) > _SHARE_FROM
+        if listed and len(set(map(id, data[:_SAMPLE]))) <= _FEW:
             ids = list(map(id, data))
-            one = {k: tnew(CellState, (d, pointers)) for k, d in dict(zip(ids, data)).items()}
+            firsts = dict(zip(ids, data))
+            one = {k: tuple.__new__(CellState, (d, pointers)) for k, d in firsts.items()}
             return list(map(one.__getitem__, ids))
         data = zip(data, repeat(pointers))
-    return list(map(tnew, repeat(CellState), data))
+    return list(map(tuple.__new__, repeat(CellState), data))  # no namedtuple wrapper
 
 
 def _no_pointers(ctx: RuleContext) -> tuple:
@@ -548,8 +553,9 @@ def _phase1(
     one list as both, so each cell reads the cells updated before it.  Any
     rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
     the cell's state and what it read; the cells stored so far are in ``out``
-    only.  Above 64 cells, a uniform generation stores into the list ``out``
-    by slice after its rules ran, so nothing when a rule fails.
+    only.  Above 64 cells, a uniform generation with a ``ByPointer`` pointer
+    rule stores the cells before the first not holding p0 into the list
+    ``out`` by slice once their rules ran, so nothing when a rule fails.
 
     ``order`` None is a whole synchronous generation in ascending order.
     For its relative basic and general rules, phase 1 first resolves the
@@ -561,9 +567,10 @@ def _phase1(
     through :func:`_rotations` before any rule runs, and the edges come
     from rotations of the indices.  The per-cell loop takes over, reusing
     the addresses resolved ahead: from cell 0 when they are not one
-    object, and from the first cell that does not hold p0, after the
-    prefix before it is stored.  So a modifier failure can be reported
-    ahead of an earlier cell's data-rule failure.
+    object, and from the first cell not holding p0 when the addresses or
+    the bulk store depend on p0, after storing the cells before it.  So a
+    modifier failure can be reported ahead of an earlier cell's data-rule
+    failure.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -579,9 +586,9 @@ def _phase1(
     # by-pointer and is called for no such cell.
     by_g = plain or type(g) is ByPointer
     by_modifier = type(modifier) is ByPointer
-    gp = gr = () if plain else _UNSET
+    gp = () if plain else _UNSET
     mp = _UNSET
-    eff_m = ()
+    gr = eff_m = ()
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -628,9 +635,8 @@ def _phase1(
                     mark = len(edge_sink)
                     targets = zip(*_rotations(topology, eff, list(order)))
                     edge_sink.extend([(c, j) for c, js in zip(order, targets) for j in js])
-                # bulk: commit the data ds after the loop; cuts: (cell, new pointers)
-                # where those change object; gb stands in for gp
-                bulk, ds, cuts, gb = n > _SHARE_FROM, [], [], _UNSET
+                # bulk: a by-pointer g runs once, for p0 (gb); ds is stored after the loop
+                bulk, gb, ds = n > _SHARE_FROM and by_g, _UNSET, []
                 for i, q, nb in zip(order, states, zip(*vectors)):
                     p = q[1]
                     ctx.i = i
@@ -641,36 +647,30 @@ def _phase1(
                             out[i] = tnew(cs, (f(ctx), gr))
                         elif p is gb:
                             ds.append(f(ctx))
-                        elif hold and p is not p0:
+                        elif (hold or bulk) and p is not p0:
                             break
-                        else:
+                        elif bulk:
+                            ds.append(f(ctx))
+                            gr, gb = g(ctx), p
+                        elif by_g:
                             d = f(ctx)
-                            r = g(ctx)
-                            if not bulk:
-                                out[i] = tnew(cs, (d, r))
-                                gp = p if by_g else gp
-                            else:
-                                ds.append(d)
-                                gb = p if by_g else gb
-                                if r is not gr:
-                                    cuts.append((i, r))
-                            gr = r
+                            gr = g(ctx)
+                            gp = p
+                            out[i] = tnew(cs, (d, gr))
+                        else:
+                            out[i] = tnew(cs, (f(ctx), g(ctx)))
                     except GcaError:
                         raise
                     except Exception as exc:
                         raise RuleEvaluationError(i, t, exc, q, nb) from exc
                 else:
                     i = n
-                if bulk and len(cuts) == 1:
+                if bulk:
                     out[:i] = _states(ds, gr)
-                elif bulk:  # the new pointer tuples differ: pairs, no sharing
-                    ends = [a for a, _ in cuts[1:]] + [i]
-                    ps = [r for (a, r), b in zip(cuts, ends) for _ in range(b - a)]
-                    out[:i] = _states(zip(ds, ps))
+                    gp = gb
                 if i == n:
                     return
                 # cell i holds another tuple: the access plan takes over
-                gp = gb if bulk else gp
                 order = range(i, n)
                 if edge_sink is not None:
                     del edge_sink[mark + i * arms :]

@@ -5,8 +5,10 @@ state list) or not (read through the access plan); and of phase 1's
 by-pointer shortcut against per-cell calls."""
 
 import random
+from array import array
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -566,7 +568,8 @@ def pool_automata(draw):
         topo = Topology.ring(draw(st.integers(60, 150) if large else st.integers(1, 12)))
         address = st.integers(-25, 25)
     n = topo.n
-    palette = draw(palettes)
+    # two equal but distinct objects: few enough to share, and only by identity
+    palette = draw(palettes | st.sampled_from([[1, True], [1, 1.0], [BIG, POOL[5]]]))
     data, news = [None] * n, [None] * n
 
     def data_rule(ctx):
@@ -621,8 +624,10 @@ def test_a_uniform_generation_stores_the_objects_its_rules_returned(case):
 
 @given(pool_automata(), st.data())
 def test_a_failing_large_uniform_generation_stores_nothing(case, data):
+    # the bulk store of a ByPointer pointer rule; the per-cell store of any
+    # other rule keeps the cells evaluated before the failure
     cfg, rs, _, _ = case
-    assume(cfg.n > 64)
+    assume(cfg.n > 64 and type(rs.pointer_rule) is ByPointer)
     bad = data.draw(st.integers(0, cfg.n - 1))
     broken = replace(rs, data_rule=fail_at(rs.data_rule, bad))
     out = [None] * cfg.n
@@ -642,6 +647,17 @@ def test_make_configuration_keeps_the_objects_it_was_given(palette, n, data):
     per_cell = [data.draw(st.sampled_from([p0, tuple([1, 2]), (3,)])) for _ in range(n)]
     for pointers, held in ((p0, [p0] * n), (per_cell, per_cell), (None, [()] * n)):
         check_states(make_configuration(values, pointers, Topology.ring(n)).states, values, held)
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_make_configuration_takes_data_that_are_made_on_access(n):
+    # a range, an array and a generator make a new object for each datum, so
+    # their ids may repeat once the objects are freed: no sharing by them
+    want = list(range(1000, 1000 + n))
+    for data in (range(1000, 1000 + n), array("q", want), (x for x in want)):
+        cfg = make_configuration(data, (1,), Topology.ring(n))
+        assert cfg.data() == want
+        assert len({id(q) for q in cfg.states}) == n
 
 
 def test_large_uniform_generations_share_their_states():
