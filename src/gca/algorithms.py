@@ -22,17 +22,9 @@ address modifier, 1-D and torus) and xor-plain's pointer function.
 A rule may memoise its result, sharing one tuple between cells, when the
 result depends on the stored pointer, t's parity or the cell's colour alone;
 never on an RNG.  :class:`gca.core.ByPointer` is the one memo by stored
-pointer, and phase 1 skips its call for a cell that holds the previous
-cell's pointer tuple: reduce, Horn, max's const/inc/double/half, every torus
-pointer rule and the r1-r8r modifiers.  The tB-tE modifiers pick one of two
-prebuilt tuples by ``t & 1``, the sF-sH modifiers by the colour
-``(x + y) & 1``, and xor-plain by the cell's bit.  Max's ``random`` variant
-draws per cell and memoises nothing.  Shared tuples also let a synchronous
-step read a whole generation as rotations of its states (see
-:mod:`gca.core`): reduce, Horn, max's const/inc/double/half, r1-r8r (all
-cells share one stored pointer) and tB-tE (every cell gets the same prebuilt
-tuple) take that path; sF-sH and xor-plain, whose cells read by colour or
-bit, do not.
+pointer.  Shared tuples let phase 1 skip rule calls and read a whole
+generation as rotations of its states (see :mod:`gca.core`);
+``tests/test_plan.py`` names the entries that do.
 """
 
 from __future__ import annotations

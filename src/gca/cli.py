@@ -33,12 +33,12 @@ from . import formats
 
 OUT_DIR_ENV = "GCA_OUT_DIR"
 
-_INT_FIELDS = {"n", "steps", "seed"}
-_BOOL_FIELDS = {"pointers", "edges"}
 STOP_CHOICES = ("fixed-point",)
 FORMAT_CHOICES = ("text", "pgm", "csv", "none")
-# the keys whose values the `run` flags restrict, with the same choices
-_CHOICE_FIELDS = {"stop": STOP_CHOICES, "format": FORMAT_CHOICES}
+
+
+class _UsageError(Exception):
+    """A usage error: ``main`` prints it and exits with code 1."""
 
 
 @dataclass
@@ -72,36 +72,31 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        cfg = cls()
+        """Parse each value as its `gca run` flag would be; a blank value
+        keeps the key's default."""
+        parser = _run_arguments(argparse.ArgumentParser(exit_on_error=False))
+        known = {f.name: f.default for f in fields(cls)}
+        seen = argparse.Namespace()
         for ln, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if not sep or key not in known:
                 raise ValueError(f"line {ln}: not a config entry: {line!r}")
-            value = value.strip()
-            if value == "":
-                parsed = None
-            elif key in _INT_FIELDS:
-                parsed = int(value)
-            elif key in _BOOL_FIELDS:
+            setattr(seen, key, None)  # a later line wins; None keeps the default
+            if isinstance(known[key], bool):
                 if value not in ("true", "false"):
                     raise ValueError(f"line {ln}: {key} must be true or false")
-                parsed = value == "true"
-            elif key in _CHOICE_FIELDS and value not in _CHOICE_FIELDS[key]:
-                raise ValueError(
-                    f"line {ln}: {key} must be one of "
-                    f"{', '.join(_CHOICE_FIELDS[key])}, got {value!r}"
-                )
+                args = [f"--{key}"] if value == "true" else []
             else:
-                parsed = value
-            if parsed is None and key in ("mode", "format"):
-                continue  # keep the default
-            setattr(cfg, key, parsed)
-        return cfg
+                args = [f"--{key}={value}"] if value else []
+            try:
+                parser.parse_args(args, seen)
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
+        return cls(**{k: v for k, v in vars(seen).items() if k in known and v is not None})
 
 
 def _out_dir(cfg_out: str | None) -> str:
@@ -116,7 +111,10 @@ def _parse_mode(cfg: RunConfig) -> tuple[str, str, int | None]:
         order = parts[1]
         if order not in ("ascending", "descending", "random"):
             raise PreconditionError(f"unknown async order {order!r}")
-        seed = int(parts[2]) if len(parts) == 3 else cfg.seed
+        try:
+            seed = int(parts[2]) if len(parts) == 3 else cfg.seed
+        except ValueError:
+            raise PreconditionError(f"update mode {cfg.mode!r}: the seed is not an integer") from None
         if order == "random" and seed is None:
             raise PreconditionError(
                 "async:random updating requires --seed for reproducibility"
@@ -149,31 +147,29 @@ def _build_spec(cfg: RunConfig) -> AlgorithmSpec:
     return builder(**kwargs)
 
 
-def _is_binary(snapshots) -> bool:
-    return all(
-        isinstance(q.data, int) and q.data in (0, 1)
-        for cfg in snapshots
-        for q in cfg.states
-    )
+def _check_name(name: str, *also: str) -> None:
+    """A usage error unless ``name`` is a catalog entry's or one of ``also``."""
+    if name not in CATALOG and name not in also:
+        choices = ", ".join([*also, *catalog_names()])
+        raise _UsageError(f"unknown algorithm {name!r}; choose from {choices}")
+
+
+def _write(path: str, payload: str | bytes) -> None:
+    """Write one artifact, making its directory, and say so on stdout."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+    print(f"wrote {path}")
 
 
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.alg is None:
-        print("error: --alg is required", file=sys.stderr)
-        return 1
-    if cfg.alg not in CATALOG:
-        print(
-            f"error: unknown algorithm {cfg.alg!r}; choose from "
-            f"{', '.join(catalog_names())}",
-            file=sys.stderr,
-        )
-        return 1
+        raise _UsageError("--alg is required")
+    _check_name(cfg.alg)
     if cfg.steps is not None and cfg.steps < 0:
-        print(f"error: --steps must be >= 0, got {cfg.steps}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"--steps must be >= 0, got {cfg.steps}")
     if cfg.steps is not None and cfg.stop is not None:
-        print("error: --stop and --steps are mutually exclusive", file=sys.stderr)
-        return 1
+        raise _UsageError("--stop and --steps are mutually exclusive")
     mode, order, seed = _parse_mode(cfg)
     spec = _build_spec(cfg)
     if cfg.pointers and not spec.topology.is_2d and spec.ruleset.variant == "plain":
@@ -193,81 +189,55 @@ def cmd_run(cfg: RunConfig) -> int:
         record_states=cfg.format != "none",
         record_edges=cfg.edges,
     )
-    out = _out_dir(cfg.out)
-    written: list[str] = []
-
-    def emit(name: str, payload) -> None:
-        path = os.path.join(out, name)
-        if isinstance(payload, bytes):
-            with open(path, "wb") as fh:
-                fh.write(payload)
-        else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        written.append(path)
-
-    if cfg.format != "none" or cfg.edges:
-        os.makedirs(out, exist_ok=True)
-        snaps = result.trace.snapshots
-        if cfg.format == "text":
-            if not spec.topology.is_2d and _is_binary(snaps):
-                rows = formats.render_rows(snaps, spec.annotate)
-                emit(f"{cfg.alg}.txt", "\n".join(rows) + "\n")
-            else:
-                blocks = [f"t={c.time}\n{formats.render_text(c)}" for c in snaps]
-                emit(f"{cfg.alg}.txt", "\n".join(blocks))
-            if cfg.pointers and not spec.topology.is_2d:
-                for arm in range(spec.ruleset.arms):
-                    rows = formats.render_pointer_rows(snaps, arm)
-                    emit(f"{cfg.alg}-p{arm + 1}.txt", "\n".join(rows) + "\n")
-        elif cfg.format == "csv":
-            emit(f"{cfg.alg}.csv", formats.trace_csv(result.trace))
-        elif cfg.format == "pgm":
-            for c in snaps:
-                emit(
-                    f"{cfg.alg}-t{c.time:04d}.pgm",
-                    formats.pgm_bytes(c.grid()),
-                )
-        elif cfg.format != "none":
-            raise PreconditionError(f"unknown format {cfg.format!r}")
-        if cfg.edges:
-            emit(f"{cfg.alg}-edges.csv", formats.edges_csv(result.trace))
-        emit(f"{cfg.alg}-config.txt", cfg.to_text())
     halt = result.halt.replace("-", " ")
     print(
         f"{cfg.alg}: {result.steps} steps, halted: {halt}, t={result.config.time}"
     )
-    for path in written:
-        print(f"wrote {path}")
+    if cfg.format == "none" and not cfg.edges:
+        return 0
+    base = os.path.join(_out_dir(cfg.out), cfg.alg)
+    snaps = result.trace.snapshots
+    if cfg.format == "text":
+        if not spec.topology.is_2d and formats._binary(q.data for c in snaps for q in c.states):
+            rows = formats.render_rows(snaps, spec.annotate)
+            _write(f"{base}.txt", "\n".join(rows) + "\n")
+        else:
+            blocks = [f"t={c.time}\n{formats.render_text(c)}" for c in snaps]
+            _write(f"{base}.txt", "\n".join(blocks))
+        if cfg.pointers and not spec.topology.is_2d:
+            for arm in range(spec.ruleset.arms):
+                rows = formats.render_pointer_rows(snaps, arm)
+                _write(f"{base}-p{arm + 1}.txt", "\n".join(rows) + "\n")
+    elif cfg.format == "csv":
+        _write(f"{base}.csv", formats.trace_csv(result.trace))
+    elif cfg.format == "pgm":
+        for c in snaps:
+            _write(f"{base}-t{c.time:04d}.pgm", formats.pgm_bytes(c.grid()))
+    elif cfg.format != "none":
+        raise PreconditionError(f"unknown format {cfg.format!r}")
+    if cfg.edges:
+        _write(f"{base}-edges.csv", formats.edges_csv(result.trace))
+    _write(f"{base}-config.txt", cfg.to_text())
     return 0
 
 
 def cmd_render(args) -> int:
     with open(args.snapshot, encoding="utf-8") as fh:
         cfg, _meta = formats.snapshot_parse(fh.read())
-    out = _out_dir(args.out)
-    os.makedirs(out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.snapshot))[0]
     if args.format == "text":
-        path = args.output or os.path.join(out, f"{stem}.txt")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(formats.render_text(cfg))
+        payload, ext = formats.render_text(cfg), "txt"
     else:
-        payload = formats.pgm_bytes(cfg.grid(), tile2=args.tile2)
-        path = args.output or os.path.join(out, f"{stem}.pgm")
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    print(f"wrote {path}")
+        payload, ext = formats.pgm_bytes(cfg.grid(), tile2=args.tile2), "pgm"
+    _write(args.output or os.path.join(_out_dir(args.out), f"{stem}.{ext}"), payload)
     return 0
 
 
 def cmd_arch(args) -> int:
-    if args.alg is not None and args.alg not in CATALOG:
-        print(f"error: unknown algorithm {args.alg!r}", file=sys.stderr)
-        return 1
     p = args.dpa if args.dpa is not None else 1
     spec = None
     if args.alg is not None:
+        _check_name(args.alg)
         spec = _build_spec(RunConfig(alg=args.alg, n=args.n))
         n = spec.topology.n
         k = spec.ruleset.arms if args.k is None else max(args.k, spec.ruleset.arms)
@@ -293,28 +263,14 @@ def cmd_arch(args) -> int:
     sched = sim(params, G)
     print(f"{sched.slots + 3} cycles/generation (fill latency included)")
     print(f"total: {sched.total_cycles} cycles = {sched.summary()}")
-    out = _out_dir(args.out)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "arch-schedule.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(schedule_csv(sched))
-    print(f"wrote {path}")
+    _write(os.path.join(_out_dir(args.out), "arch-schedule.csv"), schedule_csv(sched))
     print(capacity_table(params), end="")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.name == "all":
-        names = catalog_names()
-    elif args.name in CATALOG:
-        names = [args.name]
-    else:
-        print(
-            f"error: unknown algorithm {args.name!r}; choose from "
-            f"'all' or {', '.join(catalog_names())}",
-            file=sys.stderr,
-        )
-        return 1
+    _check_name(args.name, "all")
+    names = catalog_names() if args.name == "all" else [args.name]
     failures = 0
     width = max(len(n) for n in names)
     for name in names:
@@ -331,15 +287,8 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gca",
-        description="global cellular automata: run, render, verify, simulate hardware",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # no prefix matching: the removed --h flag must not read as --help
-    run_p = sub.add_parser("run", help="run a cataloged algorithm", allow_abbrev=False)
+def _run_arguments(run_p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Add the `gca run` flags, which also parse a config file's values."""
     run_p.add_argument("--alg", help="algorithm name (see `gca verify all`)")
     run_p.add_argument("--n", type=int, help="cell count / grid side")
     run_p.add_argument("--variant", help="pointer variant (max only)")
@@ -358,6 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--out", help=f"output directory (or ${OUT_DIR_ENV})")
     run_p.add_argument("--config", help="key=value config file; flags win")
+    return run_p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="gca",
+        description="global cellular automata: run, render, verify, simulate hardware",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # no prefix matching: the removed --h flag must not read as --help
+    _run_arguments(sub.add_parser("run", help="run a cataloged algorithm", allow_abbrev=False))
 
     render_p = sub.add_parser("render", help="render a snapshot file")
     render_p.add_argument("snapshot", help="snapshot file (from --format text runs)")
@@ -399,8 +360,7 @@ def main(argv=None) -> int:
                     with open(args.config, encoding="utf-8") as fh:
                         cfg = RunConfig.from_text(fh.read())
                 except (OSError, ValueError) as exc:
-                    print(f"error: bad config file: {exc}", file=sys.stderr)
-                    return 1
+                    raise _UsageError(f"bad config file: {exc}") from None
             for f in fields(RunConfig):
                 value = getattr(args, f.name, None)
                 if value is not None:
@@ -411,10 +371,10 @@ def main(argv=None) -> int:
         if args.command == "arch":
             return cmd_arch(args)
         return cmd_verify(args)
-    except (PreconditionError, GcaError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (GcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -313,6 +313,9 @@ def make_configuration(
         return Configuration(_states(data, pointers or ()), topology)
     if len(pointers) != topology.n:
         raise PreconditionError("pointer vector length mismatch")
+    data = list(data)  # zip would drop data beyond the n pointer tuples
+    if len(data) != topology.n:
+        raise PreconditionError(f"{len(data)} states for {topology.n} cells")
     return Configuration(_states(zip(data, map(tuple, pointers))), topology)
 
 
@@ -338,11 +341,8 @@ class RuleContext:
 
 
 class ByPointer:
-    """Rule ``ctx -> make(p)`` for a result tuple (new pointers or effective
-    addresses) that depends on the first stored pointer ``p`` alone.  Results
-    are memoised by ``p``, so all cells holding one pointer share one tuple,
-    and phase 1 calls the rule only when a cell's pointer tuple is not the
-    previous call's (see the module docstring)."""
+    """Rule ``ctx -> make(p)``, memoised by the first stored pointer ``p``;
+    the module docstring states what ``make`` may depend on."""
 
     __slots__ = ("make", "memo")
 
@@ -552,25 +552,10 @@ def _phase1(
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.  Any
     rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
-    the cell's state and what it read; the cells stored so far are in ``out``
-    only.  Above 64 cells, a uniform generation with a ``ByPointer`` pointer
-    rule stores the cells before the first not holding p0 into the list
-    ``out`` by slice once their rules ran, so nothing when a rule fails.
-
-    ``order`` None is a whole synchronous generation in ascending order.
-    For its relative basic and general rules, phase 1 first resolves the
-    generation's effective addresses.  The stored tuples (basic) and a
-    ``ByPointer`` modifier's result (one call) come from cell 0's tuple p0
-    when cells 0, 1 and n-1 hold p0; any other modifier is called per
-    cell, ahead of any read, up to the first cell whose addresses are a new
-    object.  If every cell's addresses are one object, every cell reads
-    through :func:`_rotations` before any rule runs, and the edges come
-    from rotations of the indices.  The per-cell loop takes over, reusing
-    the addresses resolved ahead: from cell 0 when they are not one
-    object, and from the first cell not holding p0 when the addresses or
-    the bulk store depend on p0, after storing the cells before it.  So a
-    modifier failure can be reported ahead of an earlier cell's data-rule
-    failure.
+    the cell's state and what it read; ``out`` then holds the cells stored
+    before it, none of them from a bulk store.  ``order`` None is a whole
+    synchronous generation in ascending order, read as a uniform generation
+    where the module docstring's rules allow.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -847,10 +832,9 @@ class RunResult:
 
 
 def _apply_events(cfg: Configuration, events: dict) -> None:
-    """Apply the event scheduled for generation ``cfg.time``, if any, in place;
-    ``events`` maps a generation to a mutator of the configuration."""
-    fn = events.get(cfg.time)
-    if fn is not None:
+    """Apply the events scheduled for generation ``cfg.time`` in place, in
+    order; ``events`` maps a generation to its mutators of the configuration."""
+    for fn in events.get(cfg.time, ()):
         fn(cfg)
 
 
@@ -884,7 +868,8 @@ def run(
 
     ``events`` lists ``(time, mutator)`` pairs: external interventions applied
     in place to generation 0 and to each committed generation, before it is
-    recorded or tested by the stop rule.  For the random async
+    recorded or tested by the stop rule; a generation's mutators run in the
+    order given.  For the random async
     order, ``seed`` seeds one stream that every sweep draws its order from.
     A fixed-point run is guarded by ``step_limit`` (default ``10*n + 64``);
     exceeding it raises :class:`StepLimitError`.  The input configuration is
@@ -899,7 +884,9 @@ def run(
     if record_edges and mode == "async":
         raise PreconditionError("access-edge recording is defined for sync mode only")
 
-    schedule = dict(events)
+    schedule: dict = {}
+    for time, fn in events:
+        schedule.setdefault(time, []).append(fn)
     current = cfg
     if schedule:
         current = cfg.copy()

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from io import StringIO
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     CellState,
@@ -26,6 +26,12 @@ TRACE_HEADER = "gca-trace v1"
 CELL_ZERO = "  "
 CELL_ONE = " #"
 CELL_OTHER = " ?"
+
+
+def _binary(values: Iterable) -> bool:
+    """Whether every value is binary data: equal to 0 or 1, so ``0.0``,
+    ``1.0`` and the bools too."""
+    return all(v in (0, 1) for v in values)
 
 
 def render_cells(values: Sequence) -> str:
@@ -87,7 +93,7 @@ def render_text(cfg: Configuration) -> str:
     """
     grid = cfg.grid()
     flat = [v for row in grid for v in row]
-    if all(v in (0, 1) for v in flat):
+    if _binary(flat):
         return "\n".join(render_cells(row) for row in grid) + "\n"
     width = max(len(str(v)) for v in flat)
     return (
@@ -197,7 +203,7 @@ def pgm_bytes(grid: Sequence[Sequence], tile2: bool = False) -> bytes:
     flat = [v for r in rows for v in r]
     if not flat:
         raise PreconditionError("empty grid")
-    if all(v in (0, 1) for v in flat):
+    if _binary(flat):
         pix = [255 if v == 0 else 0 for v in flat]
     elif not all(isinstance(v, (int, float)) for v in flat):
         raise PreconditionError("PGM needs a grid of real numbers")

@@ -163,6 +163,31 @@ def test_pointer_rows_of_cells_without_pointers_are_a_precondition_error(outdir,
         assert not list(outdir.glob(f"{alg}-p*.txt"))
 
 
+def test_run_prints_its_summary_then_each_artifact_in_order(outdir, capsys):
+    rc = main(["run", "--alg", "xor1d-basic", "--n", "31", "--steps", "5",
+               "--pointers", "--edges"])
+    assert rc == 0
+    names = ["xor1d-basic.txt", "xor1d-basic-p1.txt", "xor1d-basic-p2.txt",
+             "xor1d-basic-edges.csv", "xor1d-basic-config.txt"]
+    assert capsys.readouterr().out.splitlines() == [
+        "xor1d-basic: 5 steps, halted: steps, t=5",
+        *(f"wrote {outdir / name}" for name in names),
+    ]
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(names)
+
+
+def test_float_bits_render_as_binary_rows(outdir, monkeypatch):
+    # 0.0 and 1.0 are binary data for the CLI as for render_text and PGM
+    spec = CATALOG["max"](n=4)
+    floats = make_configuration([0.0, 1.0, 1.0, 0.0], (1,), spec.topology)
+    monkeypatch.setitem(CATALOG, "max", lambda **_: dataclasses.replace(
+        spec, initial=lambda: floats.copy()))
+    assert main(["run", "--alg", "max", "--steps", "1"]) == 0
+    assert (outdir / "max.txt").read_text() == "   # #  \n # # #  \n"
+    assert formats.render_text(floats) == "   # #  \n"
+    assert formats.pgm_bytes([floats.data()]).endswith(bytes([255, 0, 0, 255]))
+
+
 def test_run_csv_format(outdir):
     main(["run", "--alg", "max", "--n", "4", "--steps", "2", "--format", "csv"])
     lines = (outdir / "max.csv").read_text().splitlines()
@@ -253,6 +278,16 @@ def test_async_random_needs_seed(outdir, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["async:random:abc", "async:random:", "async:ascending:1.5"])
+def test_mode_seed_that_is_not_an_integer_is_a_precondition_error(outdir, tmp_path, capsys, mode):
+    assert main(["run", "--alg", "max", "--n", "8", "--mode", mode, "--format", "none"]) == 2
+    assert capsys.readouterr().err == f"error: update mode {mode!r}: the seed is not an integer\n"
+    cfg_file = tmp_path / "mode.txt"
+    cfg_file.write_text(f"alg=max\nn=8\nformat=none\nmode={mode}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert "the seed is not an integer" in capsys.readouterr().err
+
+
 def test_async_modes_run(outdir):
     assert main(["run", "--alg", "max", "--n", "8", "--mode", "async:descending",
                  "--format", "none"]) == 0
@@ -276,6 +311,14 @@ def test_verify_all(capsys):
 
 def test_verify_unknown(capsys):
     assert main(["verify", "wibble"]) == 1
+
+
+def test_unknown_names_get_one_message(outdir, capsys):
+    names = ", ".join(catalog_names())
+    for argv, also in ((["run", "--alg"], ""), (["arch", "--alg"], ""), (["verify"], "all, ")):
+        assert main([*argv, "wibble"]) == 1
+        want = f"error: unknown algorithm 'wibble'; choose from {also}{names}\n"
+        assert capsys.readouterr().err == want
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +475,19 @@ def test_bad_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.txt")]) == 1
 
 
-@pytest.mark.parametrize("key", ["stop", "format"])
+@pytest.mark.parametrize("key", ["stop", "format", "n", "steps", "seed"])
 def test_config_values_checked_like_the_flags(outdir, tmp_path, capsys, key):
-    # a value outside the flag's choices is a usage error from either source;
-    # from a file it stops the run before anything is written
+    # a value outside the flag's choices is a usage error from either source,
+    # with the flag's message; from a file it stops the run before anything
+    # is written
     assert main(["run", "--alg", "max", f"--{key}", "bogus"]) == 1
-    capsys.readouterr()
+    flag_error = capsys.readouterr().err.splitlines()[-1].partition("error: ")[2]
+    assert flag_error.startswith(f"argument --{key}: invalid ")
     out = tmp_path / "out"
     cfg_file = tmp_path / "bogus.txt"
     cfg_file.write_text(f"alg=max\nn=8\nout={out}\n{key}=bogus\n")
     assert main(["run", "--config", str(cfg_file)]) == 1
-    err = capsys.readouterr().err
-    assert "bad config file" in err and f"{key} must be one of" in err
+    assert capsys.readouterr().err == f"error: bad config file: line 4: {flag_error}\n"
     assert not out.exists()
 
 

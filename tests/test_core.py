@@ -131,6 +131,14 @@ def test_make_configuration_per_cell():
     assert cfg.states[1].pointers == (-1,)
 
 
+@pytest.mark.parametrize("pointers", [(1,), [(1,)] * 4, None])
+@pytest.mark.parametrize("k", [3, 5])
+def test_make_configuration_rejects_data_of_another_length(pointers, k):
+    # one tuple, a tuple per cell or none: k data for 4 cells never fit
+    with pytest.raises(PreconditionError, match=f"{k} states for 4 cells"):
+        make_configuration(list(range(1, k + 1)), pointers, Topology.ring(4))
+
+
 def test_gather_neighbors_basic():
     cfg = make_configuration(["a", "b", "c"], (1,), Topology.ring(3))
     rs = max_ruleset()
@@ -546,6 +554,24 @@ def test_run_applies_events():
         [0, 10, 0], [1, 11, 1], [2, 22, 2], [3, 23, 3]
     ]
     assert cfg.data() == [0, 0, 0]
+
+
+def test_run_applies_every_event_of_a_generation_in_order():
+    cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
+
+    def put(i, f):
+        def event(c):
+            c.states[i] = CellState(f(c.states[i].data), c.states[i].pointers)
+        return event
+
+    add, double = put(1, lambda d: d + 10), put(1, lambda d: 2 * d)
+    rs = RuleSet(variant="basic", arms=1, data_rule=incr_rule, pointer_rule=keep_pointers)
+    events = ((0, add), (2, double), (0, double), (2, add), (2, put(0, lambda d: -d)))
+    result = run(cfg, rs, Steps(2), record_states=True, events=events)
+    # t=0: (0 + 10) * 2; t=2: 22 * 2 + 10, and cell 0 negated
+    assert [s.data() for s in result.trace.snapshots] == [
+        [0, 20, 0], [1, 21, 1], [-2, 54, 2]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 every variant, ring and torus, relative and absolute addressing, one to four
 arms, with cells that share one pointer tuple (read as rotations of the
 state list) or not (read through the access plan); and of phase 1's
-by-pointer shortcut against per-cell calls."""
+by-pointer shortcut against per-cell calls.  Last, the fast-path map: which
+catalog entries read through rotations."""
 
 import random
 from array import array
@@ -19,6 +20,10 @@ from gca import (
     RuleEvaluationError,
     RuleSet,
     Topology,
+    catalog_names,
+    core,
+    default_instance,
+    execute,
     gather_neighbors,
     make_configuration,
     resolve,
@@ -668,3 +673,40 @@ def test_large_uniform_generations_share_their_states():
                                  data_rule=lambda ctx: ctx.neighbors[0].data))
     assert len({id(q) for q in nxt.states}) == 2
     assert nxt.data() == [1, 0] * 50
+
+
+# ---------------------------------------------------------------------------
+# the fast-path map: which default instances read a synchronous generation as
+# rotations of the state list (core._rotations) and which cell by cell through
+# an access plan (core._access_plan); the package states this nowhere else
+
+EVERY_STEP_ROTATES = {
+    "horn", "max", "reduce-and", "reduce-avg", "reduce-max", "reduce-min", "reduce-or",
+    "reduce-sum", "xor2d-r1", "xor2d-r2", "xor2d-r3", "xor2d-r4", "xor2d-r5", "xor2d-r6",
+    "xor2d-r7", "xor2d-r8", "xor2d-r8r", "xor2d-tB", "xor2d-tC", "xor2d-tD", "xor2d-tE",
+}
+FIRST_STEP_ROTATES = {"fire-jump1", "fire-jump2", "fire-wave", "xor1d-basic"}
+NO_STEP_ROTATES = {
+    "bitonic", "bitonic-basic", "fft", "fire-rings", "xor-plain", "xor1d-general",
+    "xor2d-sF", "xor2d-sG", "xor2d-sH",
+}
+
+
+def test_the_fast_path_map_names_each_entry_once():
+    groups = (EVERY_STEP_ROTATES, FIRST_STEP_ROTATES, NO_STEP_ROTATES)
+    assert sorted(name for group in groups for name in group) == sorted(catalog_names())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_fast_path_map(name, monkeypatch):
+    # R: a step read through rotations; P: a step, or its rest, read per cell
+    reads = []
+    for mark, read in (("R", core._rotations), ("P", core._access_plan)):
+        def counted(*args, mark=mark, read=read):
+            reads.append(mark)
+            return read(*args)
+        monkeypatch.setattr(core, read.__name__, counted)
+    steps = execute(default_instance(name)).steps
+    first = "R" if name in EVERY_STEP_ROTATES | FIRST_STEP_ROTATES else "P"
+    rest = "R" if name in EVERY_STEP_ROTATES else "P"
+    assert "".join(reads) == first + rest * (steps - 1)
