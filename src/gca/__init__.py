@@ -16,10 +16,8 @@ from .core import (
     Steps,
     Topology,
     Trace,
-    gather_neighbors,
     make_configuration,
     normalize_relative,
-    relative_window,
     resolve,
     run,
     step_async,

@@ -65,10 +65,6 @@ def trunc_mod(a: int, n: int) -> int:
     return r
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _keep(p: int) -> tuple:
     """``make`` of a by-pointer rule whose one pointer never changes."""
     return (p,)
@@ -148,7 +144,7 @@ def _spec(
 
 def _pow2_ring(n: int, what: str) -> int:
     """log2(n) for an entry that needs a ring of n = 2^k >= 2 cells."""
-    if not is_power_of_two(n) or n < 2:
+    if n < 2 or n & (n - 1):
         raise PreconditionError(
             f"{what} requires n to be a power of two (n >= 2), got n={n}"
         )

@@ -176,10 +176,8 @@ def cmd_run(cfg: RunConfig) -> int:
         raise PreconditionError(f"{cfg.alg}: its cells store no pointers to write")
     if cfg.stop == "fixed-point":
         stop = FixedPoint()
-    elif cfg.stop is None:
-        stop = None if cfg.steps is None else Steps(cfg.steps)
     else:
-        raise PreconditionError(f"unknown stop rule {cfg.stop!r}")
+        stop = None if cfg.steps is None else Steps(cfg.steps)
     result = execute(
         spec,
         stop,
@@ -213,8 +211,6 @@ def cmd_run(cfg: RunConfig) -> int:
     elif cfg.format == "pgm":
         for c in snaps:
             _write(f"{base}-t{c.time:04d}.pgm", formats.pgm_bytes(c.grid()))
-    elif cfg.format != "none":
-        raise PreconditionError(f"unknown format {cfg.format!r}")
     if cfg.edges:
         _write(f"{base}-edges.csv", formats.edges_csv(result.trace))
     _write(f"{base}-config.txt", cfg.to_text())
@@ -321,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     _run_arguments(sub.add_parser("run", help="run a cataloged algorithm", allow_abbrev=False))
 
     render_p = sub.add_parser("render", help="render a snapshot file")
-    render_p.add_argument("snapshot", help="snapshot file (from --format text runs)")
+    render_p.add_argument(
+        "snapshot",
+        help="a 'gca-trace v1' JSON snapshot, as gca.formats.snapshot_dump writes it",
+    )
     render_p.add_argument("--format", choices=["text", "pgm"], default="text")
     render_p.add_argument(
         "--tile2", action="store_true", help="tile the pattern 2x2 (doubled size)"

@@ -24,13 +24,13 @@ absolute.  All wrapping uses mathematical modulus, so results always lie in
 address.
 
 Phase 1 (``_phase1``) evaluates the rules of every variant, for synchronous
-steps, asynchronous sweeps and :func:`gather_neighbors` alike.  Its per-cell
-loop picks an *access plan* from the topology's dimensions, the addressing
-and the arm count: a ``gather(i, eff)`` that returns the states at cell i's
-effective addresses, and records the access edges when asked to.  The common
-relative shapes (2-D with four arms, 1-D with two) are unrolled, the 1-D
-one-arm case is inlined in the loop, and every other shape resolves its arm
-vector with the loop form of :func:`resolve`.
+steps and asynchronous sweeps alike.  Its per-cell loop picks an *access plan*
+from the topology's dimensions, the addressing and the arm count: a
+``gather(i, eff)`` that returns the states at cell i's effective addresses,
+and records the access edges when asked to.  The common relative shapes (2-D
+with four arms, 1-D with two) are unrolled, the 1-D one-arm case is inlined in
+the loop, and every other shape resolves its arm vector with the loop form of
+:func:`resolve`.
 
 A synchronous step in ascending order with relative addressing reads a
 *uniform generation* (basic or general variant) as rotations of the state
@@ -50,18 +50,18 @@ state.  Otherwise the per-cell loop runs, reusing the addresses resolved so
 far, so no rule is called twice.  Failures name the same cell, t, state and
 reads as the per-cell loop, except that a failure of a modifier that is not a
 :class:`ByPointer` at a later cell can be reported ahead of an earlier cell's
-data-rule failure.  Asynchronous sweeps, ``phase1_order``,
-:func:`gather_neighbors`, the plain variant and absolute addressing always use
-the per-cell loop.
+data-rule failure.  Asynchronous sweeps, ``phase1_order``, the plain variant
+and absolute addressing always use the per-cell loop.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
 depends on the first stored pointer ``p = ctx.cell[1][0]`` alone, never on an
 RNG, the cell, the neighbours or t, and memoises it by ``p``.  So when a cell
 holds the very pointer tuple object of the previous cell that phase 1 called
-the rule for (``is``, not ``==``), phase 1 skips the pointer-rule call, and
-the general variant's address-modifier call, and reuses that result.  The
-data rule still runs for every cell first, so a failure names the same cell.
+the pointer rule for (``is``, not ``==``), phase 1 skips the pointer-rule call
+and reuses that result.  The data rule still runs for every cell first, so a
+failure names the same cell.  A :class:`ByPointer` address modifier is called
+once for a whole generation on the rotation path, and once per cell otherwise.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ from __future__ import annotations
 import gc
 import random as _random
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Address",
@@ -90,10 +90,8 @@ __all__ = [
     "Topology",
     "Trace",
     "default_step_limit",
-    "gather_neighbors",
     "make_configuration",
     "normalize_relative",
-    "relative_window",
     "resolve",
     "run",
     "step_async",
@@ -152,9 +150,6 @@ class StepLimitError(GcaError):
 # ---------------------------------------------------------------------------
 # addresses and topology
 
-Kind = Literal["relative", "absolute"]
-
-
 class Address(NamedTuple):
     """A cell address: ``kind`` is ``'relative'`` or ``'absolute'``.
 
@@ -165,19 +160,11 @@ class Address(NamedTuple):
     value: Any
 
 
-def relative_window(n: int) -> range:
-    """Canonical signed offset window for a ring of n cells.
+def normalize_relative(a: int, n: int) -> int:
+    """Map an arbitrary signed offset into the canonical window for size n.
 
     Even n gives ``-n/2 .. n/2-1``, odd n gives ``-(n-1)/2 .. (n-1)/2``.
     """
-    if n < 1:
-        raise PreconditionError(f"ring size must be positive, got {n}")
-    half = (n - 1) // 2
-    return range(half - n + 1, half + 1)
-
-
-def normalize_relative(a: int, n: int) -> int:
-    """Map an arbitrary signed offset into the canonical window for size n."""
     if n < 1:
         raise PreconditionError(f"ring size must be positive, got {n}")
     r = a % n
@@ -565,15 +552,14 @@ def _phase1(
     modifier = ruleset.address_modifier
     pf = ruleset.pointer_function
     arms = ruleset.arms
-    # gp/gr and mp/eff_m: the pointer tuple object a by-pointer rule was
-    # last called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
+    # gp/gr: the pointer tuple object the by-pointer pointer rule was last
+    # called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
     # cells hold the empty tuple and get it back, so their rule counts as
     # by-pointer and is called for no such cell.
     by_g = plain or type(g) is ByPointer
     by_modifier = type(modifier) is ByPointer
     gp = () if plain else _UNSET
-    mp = _UNSET
-    gr = eff_m = ()
+    gr = ()
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -606,10 +592,7 @@ def _phase1(
                             break
                     ahead = len(effs)
                 elif states[-1][1] is p0 and states[1 % n][1] is p0:
-                    eff = p0
-                    if by_modifier:
-                        eff = eff_m = modifier(ctx)
-                        mp = p0
+                    eff = modifier(ctx) if by_modifier else p0
             if eff is not _UNSET:
                 i = ctx.i = 0
                 ctx.cell = states[0]
@@ -671,14 +654,9 @@ def _phase1(
                 eff = pf(i, q)
             elif i < ahead:
                 eff = effs[i]
-            elif by_modifier and p is mp:
-                eff = eff_m
             else:
                 ctx.neighbors = ()
                 eff = modifier(ctx)
-                if by_modifier:
-                    mp = p
-                    eff_m = eff
             if gather is None:
                 (a,) = eff  # unpacking checks the arity
                 ctx.neighbors = (states[(i + a) % n],)
@@ -703,25 +681,6 @@ def _phase1(
     except Exception as exc:  # before the reads: addresses, arity, order
         state = ctx.cell if ctx.i == i else None
         raise RuleEvaluationError(i, t, exc, state) from exc
-
-
-def gather_neighbors(
-    cfg: Configuration, i: int, ruleset: RuleSet
-) -> tuple[tuple, list[int]]:
-    """Arm states and resolved target indices of cell i at the current time.
-
-    Returns ``(states, targets)`` where both follow arm order: phase 1 of the
-    one cell, with rules that only look.
-    """
-    seen: list = []
-    edges: list = []
-    probe = replace(
-        ruleset,
-        data_rule=lambda ctx: seen.append(ctx.neighbors),
-        pointer_rule=lambda ctx: (),
-    )
-    _phase1(probe, cfg.topology, cfg.time, cfg.states, {}, (i,), edges)
-    return seen[0], [j for _, j in edges]
 
 
 # ---------------------------------------------------------------------------

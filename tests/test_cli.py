@@ -433,6 +433,14 @@ def test_render_malformed_snapshot(outdir, tmp_path, capsys, body, problem):
     assert problem in capsys.readouterr().err
 
 
+def test_render_rejects_the_rows_of_a_text_run(outdir, capsys):
+    # gca run --format text writes rendered rows, not a snapshot
+    assert main(["run", "--alg", "xor2d-r1", "--format", "text"]) == 0
+    capsys.readouterr()
+    assert main(["render", str(outdir / "xor2d-r1.txt")]) == 2
+    assert "'gca-trace v1' header" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config replay and determinism
 

@@ -18,10 +18,8 @@ from gca import (
     StepLimitError,
     Steps,
     Topology,
-    gather_neighbors,
     make_configuration,
     normalize_relative,
-    relative_window,
     resolve,
     run,
     step_async,
@@ -51,17 +49,6 @@ def max_ruleset():
 # ---------------------------------------------------------------------------
 # addressing
 
-def test_relative_window_odd():
-    assert relative_window(9) == range(-4, 5)
-    assert relative_window(5) == range(-2, 3)
-
-
-def test_relative_window_even_is_asymmetric():
-    # even n: {-n/2, ..., (n-2)/2}
-    assert relative_window(8) == range(-4, 4)
-    assert relative_window(2) == range(-1, 1)
-
-
 def test_normalize_relative_examples():
     assert normalize_relative(-1, 8) == -1
     assert normalize_relative(7, 8) == -1
@@ -73,7 +60,7 @@ def test_normalize_relative_examples():
 @given(st.integers(1, 200), st.integers(-10**12, 10**12))
 def test_normalize_relative_stays_in_window(n, a):
     r = normalize_relative(a, n)
-    assert r in relative_window(n)
+    assert -(n // 2) <= r <= (n - 1) // 2
     assert (r - a) % n == 0
     assert normalize_relative(r, n) == r
 
@@ -118,7 +105,7 @@ def test_topology_validation():
 
 
 # ---------------------------------------------------------------------------
-# configurations and neighbor access
+# configurations
 
 def test_make_configuration_broadcast():
     cfg = make_configuration([1, 2, 3], (1,), Topology.ring(3))
@@ -137,39 +124,6 @@ def test_make_configuration_rejects_data_of_another_length(pointers, k):
     # one tuple, a tuple per cell or none: k data for 4 cells never fit
     with pytest.raises(PreconditionError, match=f"{k} states for 4 cells"):
         make_configuration(list(range(1, k + 1)), pointers, Topology.ring(4))
-
-
-def test_gather_neighbors_basic():
-    cfg = make_configuration(["a", "b", "c"], (1,), Topology.ring(3))
-    rs = max_ruleset()
-    states, targets = gather_neighbors(cfg, 0, rs)
-    assert states[0].data == "b" and targets == [1]
-
-
-def test_gather_neighbors_general_modifier():
-    cfg = make_configuration(list(range(8)), (2,), Topology.ring(8))
-    rs = RuleSet(
-        variant="general",
-        arms=1,
-        data_rule=lambda ctx: ctx.cell.data,
-        pointer_rule=keep_pointers,
-        address_modifier=lambda ctx: (-ctx.cell.pointers[0],),
-    )
-    states, targets = gather_neighbors(cfg, 0, rs)
-    assert states[0].data == 6 and targets == [6]
-
-
-def test_gather_neighbors_plain():
-    # h(q) = A if q == 0 else B, one arm
-    cfg = make_configuration([0] + [9] * 19, (), Topology.ring(20))
-    rs = RuleSet(
-        variant="plain",
-        arms=1,
-        data_rule=lambda ctx: ctx.cell.data,
-        pointer_function=lambda i, q: (9 if q.data == 0 else 1,),
-    )
-    states, targets = gather_neighbors(cfg, 0, rs)
-    assert states[0].data == 9 and targets == [9]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from gca import (
     core,
     default_instance,
     execute,
-    gather_neighbors,
     make_configuration,
     resolve,
     step_async,
@@ -222,14 +221,6 @@ def test_edge_sink_matches_resolve(case, rnd):
     assert nxt.states == reference_sync(cfg, rs)
 
 
-@given(automata())
-def test_gather_neighbors_matches_resolve(case):
-    cfg, rs = case
-    for i in range(cfg.n):
-        targets = reference_targets(cfg, rs, cfg.states, i)
-        assert gather_neighbors(cfg, i, rs) == (tuple(cfg.states[j] for j in targets), targets)
-
-
 def sweep_order(n, order, seed):
     """The cell order of ``step_async(..., order=order, seed=seed)``."""
     sequence = list(range(n))
@@ -387,9 +378,6 @@ def test_by_pointer_shortcut_matches_per_cell_calls(case, order, seed):
         # every new pointer tuple is the memoised one for the cell's pointer
         for q, new in zip(cfg.states, nxt.states):
             assert new.pointers is memo[q.pointers[0]]
-    for i in range(cfg.n):
-        targets = reference_targets(cfg, ref, cfg.states, i)
-        assert gather_neighbors(cfg, i, rs) == (tuple(cfg.states[j] for j in targets), targets)
 
 
 class CallCount(dict):
@@ -419,11 +407,12 @@ def test_other_rules_run_once_per_cell_on_shared_tuples(case):
     assert step_sync(cfg, replace(ref, **rules)).states == reference_sync(cfg, ref)
     assert sorted(calls) == sorted(list(range(cfg.n)) * len(rules))
 
-    # a generation sharing one tuple: each ByPointer rule is called once,
-    # any other modifier once per cell
+    # a generation sharing one tuple: a ByPointer pointer rule is called
+    # once; a ByPointer modifier once on the rotation path (relative
+    # addressing) and once per cell otherwise; any other modifier once per cell
     shared = sharing_cell_0s_tuple(cfg)
     calls.clear()
-    memos, others = [], []
+    memos, expected, others = [], [], []
     rules = {}
     for name in ("pointer_rule", "address_modifier"):
         rule = getattr(rs, name)
@@ -431,11 +420,13 @@ def test_other_rules_run_once_per_cell_on_shared_tuples(case):
             rules[name] = ByPointer(rule.make)
             rules[name].memo = CallCount()
             memos.append(rules[name].memo)
+            per_cell = name == "address_modifier" and rs.addressing == "absolute"
+            expected.append(cfg.n if per_cell else 1)
         elif rule is not None:
             rules[name] = counted(rule)
             others.append(name)
     assert step_sync(shared, replace(rs, **rules)).states == reference_sync(shared, ref)
-    assert [memo.calls for memo in memos] == [1] * len(memos)
+    assert [memo.calls for memo in memos] == expected
     assert calls == list(range(cfg.n)) * len(others)
 
 
