@@ -43,15 +43,23 @@ slice pair on a ring, a slice pair per row after a row rotation on a torus.
 All reads then come before any rule runs, and the rules run over the cells in
 ascending order, the data rule before the pointer rule at every cell; access
 edges come from the same rotations of the indices, in the per-cell order.
-Above 64 cells, with a :class:`ByPointer` pointer rule, the cells before the
-first whose pointers are not cell 0's are stored in one pass once their rules
-ran (a failure stores none), cells whose new data are one object sharing one
-state.  Otherwise the per-cell loop runs, reusing the addresses resolved so
-far, so no rule is called twice.  Failures name the same cell, t, state and
-reads as the per-cell loop, except that a failure of a modifier that is not a
-:class:`ByPointer` at a later cell can be reported ahead of an earlier cell's
-data-rule failure.  Asynchronous sweeps, ``phase1_order``, the plain variant
-and absolute addressing always use the per-cell loop.
+Otherwise the per-cell loop runs, reusing the addresses resolved so far, so
+no rule is called twice; it also takes over at the first cell that does not
+hold cell 0's stored tuple when the addresses came from that tuple.  Failures
+name the same cell, t, state and reads as the per-cell loop, except that a
+failure of a modifier that is not a :class:`ByPointer` at a later cell can be
+reported ahead of an earlier cell's data-rule failure.  Asynchronous sweeps,
+``phase1_order``, the plain variant and absolute addressing always use the
+per-cell loop.
+
+A whole synchronous generation of more than 64 cells (``step_sync`` without
+``phase1_order``) is stored in one pass after its last rule ran, whichever
+loop evaluated its cells, so a failing generation stores nothing.  When the
+pointer rule gave every cell one tuple object, cells whose new data are one
+object share one state (:func:`_states`); otherwise every cell gets a state
+of its own.  Asynchronous sweeps, whose later cells read the earlier ones,
+``phase1_order`` steps and generations of at most 64 cells store cell by
+cell.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
@@ -70,7 +78,7 @@ import gc
 import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -497,9 +505,10 @@ def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
 _UNSET = object()
 
 
-# Over _SHARE_FROM cells with one pointer tuple, share states if the first _SAMPLE
-# data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns each,
-# shared 180-210 for up to 16 objects.  16 and 2 share no fold-1d generation of
+# Phase 1 stores a whole synchronous generation of over _SHARE_FROM cells in one
+# pass.  Over _SHARE_FROM cells with one pointer tuple, share states if the first
+# _SAMPLE data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns
+# each, shared 180-210 for up to 16 objects.  16 and 2 share no fold-1d generation of
 # over n/8 objects (8 and 4 shared 92, and peak RSS rose 1%); the sample costs 2.5 us.
 _SHARE_FROM, _SAMPLE, _FEW = 64, 16, 2
 
@@ -537,12 +546,14 @@ def _phase1(
     ``states`` and storing cell i's new state in ``out[i]``.
 
     A synchronous step writes to a fresh list; an asynchronous sweep passes
-    one list as both, so each cell reads the cells updated before it.  Any
-    rule failure surfaces as :class:`RuleEvaluationError` naming the cell, t,
-    the cell's state and what it read; ``out`` then holds the cells stored
-    before it, none of them from a bulk store.  ``order`` None is a whole
-    synchronous generation in ascending order, read as a uniform generation
-    where the module docstring's rules allow.
+    one list as both, so each cell reads the cells updated before it.
+    ``order`` None is a whole synchronous generation in ascending order,
+    read as a uniform generation where the module docstring's rules allow;
+    above 64 cells it is stored in one pass after its last rule ran, and
+    every other order stores cell by cell.  Any rule failure surfaces as
+    :class:`RuleEvaluationError` naming the cell, t, the cell's state and
+    what it read; ``out`` then holds the cells stored before it, so none
+    after a failure in a generation stored in one pass.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -555,11 +566,16 @@ def _phase1(
     # gp/gr: the pointer tuple object the by-pointer pointer rule was last
     # called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
     # cells hold the empty tuple and get it back, so their rule counts as
-    # by-pointer and is called for no such cell.
+    # by-pointer and is called for no such cell.  A generation stored in one
+    # pass (bulk) collects its new data in ds and, in calls, what g returned
+    # at each cell it ran for, with gb in gp's part.
     by_g = plain or type(g) is ByPointer
     by_modifier = type(modifier) is ByPointer
-    gp = () if plain else _UNSET
-    gr = ()
+    gp, gb, gr = () if plain else _UNSET, _UNSET, ()
+    bulk = n > _SHARE_FROM and order is None
+    if bulk:
+        gp, gb, ds, calls = gb, gp, [], {}
+    each = not (bulk or by_g)  # g runs at every cell, and each cell is stored at once
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -603,8 +619,6 @@ def _phase1(
                     mark = len(edge_sink)
                     targets = zip(*_rotations(topology, eff, list(order)))
                     edge_sink.extend([(c, j) for c, js in zip(order, targets) for j in js])
-                # bulk: a by-pointer g runs once, for p0 (gb); ds is stored after the loop
-                bulk, gb, ds = n > _SHARE_FROM and by_g, _UNSET, []
                 for i, q, nb in zip(order, states, zip(*vectors)):
                     p = q[1]
                     ctx.i = i
@@ -615,34 +629,33 @@ def _phase1(
                             out[i] = tnew(cs, (f(ctx), gr))
                         elif p is gb:
                             ds.append(f(ctx))
-                        elif (hold or bulk) and p is not p0:
+                        elif hold and p is not p0:
                             break
+                        elif each:
+                            out[i] = tnew(cs, (f(ctx), g(ctx)))
                         elif bulk:
                             ds.append(f(ctx))
-                            gr, gb = g(ctx), p
-                        elif by_g:
+                            gr = calls[i] = g(ctx)
+                            gb = p if by_g else _UNSET
+                        else:
                             d = f(ctx)
                             gr = g(ctx)
                             gp = p
                             out[i] = tnew(cs, (d, gr))
-                        else:
-                            out[i] = tnew(cs, (f(ctx), g(ctx)))
                     except GcaError:
                         raise
                     except Exception as exc:
                         raise RuleEvaluationError(i, t, exc, q, nb) from exc
-                else:
+                else:  # every cell read through the rotations
+                    if not bulk:
+                        return
                     i = n
-                if bulk:
-                    out[:i] = _states(ds, gr)
-                    gp = gb
-                if i == n:
-                    return
-                # cell i holds another tuple: the access plan takes over
+                # from cell i, which holds another tuple, the access plan reads
                 order = range(i, n)
                 if edge_sink is not None:
                     del edge_sink[mark + i * arms :]
-        gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
+        if i < n:  # not when the rotations read every cell
+            gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
         for i in order:
             q = states[i]
             p = q[1]  # .pointers without the descriptor hop
@@ -665,13 +678,19 @@ def _phase1(
             try:  # free in the loop: a try block costs nothing until it raises
                 if p is gp:  # the by-pointer rule's result for this tuple
                     out[i] = tnew(cs, (f(ctx), gr))
-                elif by_g:
+                elif each:
+                    out[i] = tnew(cs, (f(ctx), g(ctx)))
+                elif p is gb:
+                    ds.append(f(ctx))
+                elif bulk:
+                    ds.append(f(ctx))
+                    gr = calls[i] = g(ctx)
+                    gb = p if by_g else _UNSET
+                else:
                     d = f(ctx)
                     gr = g(ctx)
                     gp = p
                     out[i] = tnew(cs, (d, gr))
-                else:
-                    out[i] = tnew(cs, (f(ctx), g(ctx)))
             except GcaError:
                 raise
             except Exception as exc:
@@ -681,6 +700,13 @@ def _phase1(
     except Exception as exc:  # before the reads: addresses, arity, order
         state = ctx.cell if ctx.i == i else None
         raise RuleEvaluationError(i, t, exc, state) from exc
+    if bulk and any(r is not gr for r in calls.values()):  # several pointer tuples
+        ps = calls.values()
+        if len(ps) < n:  # cell i gets what g returned at its last call up to i
+            ps = chain.from_iterable(map(repeat, ps, map(int.__sub__, [*calls, n][1:], calls)))
+        out[:] = _states(zip(ds, ps))
+    elif bulk:
+        out[:] = _states(ds, gr)
 
 
 # ---------------------------------------------------------------------------

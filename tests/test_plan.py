@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from gca import (
     ByPointer,
     CellState,
+    Configuration,
     RuleContext,
     RuleEvaluationError,
     RuleSet,
@@ -76,15 +77,18 @@ def plain_function(arms: int, twod: bool):
     return pointer_function
 
 
-def engine_shape(draw):
-    """``(addressing, arms, topology, address strategy)`` of any engine shape."""
+def engine_shape(draw, large=False):
+    """``(addressing, arms, topology, address strategy)`` of any engine shape;
+    with ``large``, some rings have more cells than phase 1 stores one by one
+    in a whole synchronous generation."""
     addressing = draw(st.sampled_from(("relative", "absolute")))
     arms = draw(st.integers(1, 4))
     if draw(st.booleans()):
         topo = Topology.torus(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
         address = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
     else:
-        topo = Topology.ring(draw(st.integers(1, 12)))
+        sizes = st.integers(1, 12) | st.integers(65, 150) if large else st.integers(1, 12)
+        topo = Topology.ring(draw(sizes))
         address = st.integers(-25, 25)
     return addressing, arms, topo, address
 
@@ -103,11 +107,12 @@ def shared_pointers(draw, n, arm_vector, sharing=None):
 
 
 @st.composite
-def automata(draw, sharing=None):
+def automata(draw, sharing=None, large=False):
     """A configuration and a rule set of any engine shape; ``sharing`` fixes
-    how the cells hold their pointer tuples (see ``shared_pointers``)."""
+    how the cells hold their pointer tuples (see ``shared_pointers``), and
+    ``large`` draws some rings of 65 to 150 cells."""
     variant = draw(st.sampled_from(("basic", "general", "plain")))
-    addressing, arms, topo, address = engine_shape(draw)
+    addressing, arms, topo, address = engine_shape(draw, large)
     n = topo.n
     data = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n))
     pointers = None
@@ -202,7 +207,7 @@ def test_step_sync_matches_reference(case):
         assert step_sync(cfg, rs).states == nxt.states
 
 
-@given(automata(), st.randoms(use_true_random=False))
+@given(automata(large=True), st.randoms(use_true_random=False))
 def test_phase1_order_independent(case, rnd):
     cfg, rs = case
     order = list(range(cfg.n))
@@ -231,7 +236,8 @@ def sweep_order(n, order, seed):
     return sequence
 
 
-@given(automata(), st.sampled_from(("ascending", "descending", "random")), st.integers(0, 99))
+@given(automata(large=True), st.sampled_from(("ascending", "descending", "random")),
+       st.integers(0, 99))
 def test_step_async_matches_sequential_reference(case, order, seed):
     cfg, rs = case
     sequence = sweep_order(cfg.n, order, seed)
@@ -618,12 +624,97 @@ def test_a_uniform_generation_stores_the_objects_its_rules_returned(case):
         assert edges == reference_edges(cfg, rs, range(cfg.n))
 
 
-@given(pool_automata(), st.data())
+@st.composite
+def cell_by_cell_automata(draw):
+    """A whole synchronous generation of 65 to 150 cells that phase 1 reads
+    cell by cell, with the returns of the rules logged as in
+    ``pool_automata``.  Its cells read through a general modifier that
+    returns one of two prebuilt tuples by cell parity (as sF-sH do), a plain
+    pointer function that returns one of two by datum (as xor-plain does),
+    or as a basic rule set on cells that each hold their own tuple.  The
+    cells hold a few distinct tuples, so a ByPointer pointer rule returns
+    several; the other pointer rules return one of two prebuilt tuples or a
+    fresh tuple per cell."""
+    read = draw(st.sampled_from(("parity", "plain", "own")))
+    arms = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        topo = Topology.torus(draw(st.integers(9, 12)), draw(st.integers(9, 12)))
+        address = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    else:
+        topo = Topology.ring(draw(st.integers(65, 150)))
+        address = st.integers(-25, 25)
+    n = topo.n
+    vector = st.tuples(*[address] * arms)
+    palette = draw(palettes | st.sampled_from([[1, True], [1, 1.0], [BIG, POOL[5]]]))
+    data, news = [None] * n, [None] * n
+
+    def data_rule(ctx):
+        k = code(ctx.cell.data) + ctx.i + ctx.t
+        k += sum((j + 2) * code(q.data) for j, q in enumerate(ctx.neighbors))
+        data[ctx.i] = palette[k % len(palette)]
+        return data[ctx.i]
+
+    two = [draw(vector) for _ in range(2)]
+    values = [draw(st.sampled_from(palette)) for _ in range(n)]
+    if read == "plain":
+        rs = RuleSet(variant="plain", arms=arms, data_rule=data_rule,
+                     pointer_function=lambda i, q: two[code(q.data) & 1])
+        cfg = make_configuration(values, None, topo)
+        news[:] = [()] * n
+    else:
+        kind = draw(st.sampled_from(("by-pointer", "two", "fresh")))
+        if kind == "by-pointer":
+            g = ByPointer(by_pointer_make(arms, 1))
+        else:
+            stride = draw(st.integers(1, n))
+
+            def g(ctx):
+                if kind == "two":
+                    news[ctx.i] = two[ctx.i // stride % 2]
+                else:
+                    cells = zip(ctx.cell.pointers, ctx.neighbors)
+                    news[ctx.i] = tuple(shift(p, code(q.data)) for p, q in cells)
+                return news[ctx.i]
+
+        shape = dict(variant="basic", arms=arms, data_rule=data_rule, pointer_rule=g)
+        if read == "parity":
+            shape.update(variant="general", address_modifier=lambda ctx: two[ctx.i & 1])
+        pool = draw(st.lists(vector, min_size=1, max_size=3))
+        # each cell its own copy of a pool tuple; a parity read may share them
+        copy = read == "own" or draw(st.booleans())
+        pointers = [tuple(list(v)) if copy else v
+                    for v in (draw(st.sampled_from(pool)) for _ in range(n))]
+        rs = RuleSet(**shape)
+        cfg = make_configuration(values, pointers, topo)
+    assume(two[0] is not two[1])  # the parity read's addresses are two objects
+    cfg.time = draw(st.integers(0, 5))
+    return cfg, rs, data, news
+
+
+@given(cell_by_cell_automata())
+def test_a_large_generation_read_cell_by_cell_stores_what_its_rules_returned(case):
+    # two steps, each against the reference's own generation: the second
+    # reads the pointers that the first stored
+    cfg, rs, data, news = case
+    ref = cfg
+    for _ in range(2):
+        edges = []
+        nxt = step_sync(cfg, rs, edge_sink=edges)
+        if type(rs.pointer_rule) is ByPointer:
+            news = [rs.pointer_rule.memo[q.pointers[0]] for q in cfg.states]
+        check_states(nxt.states, list(data), list(news))
+        assert edges == reference_edges(ref, rs, range(ref.n))
+        ref = Configuration(reference_sync(ref, rs), ref.topology, ref.time + 1)
+        assert nxt.states == ref.states
+        cfg = nxt
+
+
+@given(pool_automata() | cell_by_cell_automata(), st.data())
 def test_a_failing_large_uniform_generation_stores_nothing(case, data):
-    # the bulk store of a ByPointer pointer rule; the per-cell store of any
-    # other rule keeps the cells evaluated before the failure
+    # every synchronous generation of more than 64 cells is stored in one
+    # pass, whichever loop reads it and whatever its pointer rule returns
     cfg, rs, _, _ = case
-    assume(cfg.n > 64 and type(rs.pointer_rule) is ByPointer)
+    assume(cfg.n > 64)
     bad = data.draw(st.integers(0, cfg.n - 1))
     broken = replace(rs, data_rule=fail_at(rs.data_rule, bad))
     out = [None] * cfg.n

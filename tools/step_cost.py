@@ -3,9 +3,12 @@
     python3 tools/step_cost.py TREE [TREE ...] [--rounds N]
 
 Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
-1024 and of xor2d-r1 on 8x8 and 64x64 tori, each from the entry's
-generation 0.  Every measurement runs in a fresh interpreter that imports
-``gca`` from ``TREE/src`` alone; the trees alternate within each round (the
+1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-sF on a 64x64 torus (a
+large generation read cell by cell) and of fire-wave at n = 16, each from
+the entry's generation 0; fire-wave also from its generation 1, which phase
+1 reads cell by cell, as it reads criterion 6's generations.  Every
+measurement runs in a fresh interpreter that imports ``gca`` from
+``TREE/src`` alone; the trees alternate within each round (the
 first tree leads in odd rounds, the last in even ones).  A process repeats
 the step in 60 batches of about 20 ms of CPU time each, with the cyclic
 collector paused as ``core.run`` pauses it, and reports its fastest batch
@@ -27,16 +30,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+# (entry, its options, the generation whose step is timed)
 CASES = [
-    ("reduce-sum", {"n": 8}),
-    ("reduce-sum", {"n": 32}),
-    ("reduce-sum", {"n": 64}),
-    ("reduce-sum", {"n": 1024}),
-    ("xor2d-r1", {"n": 8}),
-    ("xor2d-r1", {"n": 64}),
+    ("reduce-sum", {"n": 8}, 0),
+    ("reduce-sum", {"n": 32}, 0),
+    ("reduce-sum", {"n": 64}, 0),
+    ("reduce-sum", {"n": 1024}, 0),
+    ("fire-wave", {"n": 16}, 0),
+    ("fire-wave", {"n": 16}, 1),
+    ("xor2d-r1", {"n": 8}, 0),
+    ("xor2d-r1", {"n": 64}, 0),
+    ("xor2d-sF", {"n": 64}, 0),
 ]
 
-# Run as ``python3 -c CHILD SRC NAME KWARGS``: prints microseconds per step.
+# Run as ``python3 -c CHILD SRC NAME KWARGS T``: prints microseconds per step.
 CHILD = """\
 import gc, json, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -45,6 +52,8 @@ from gca.algorithms import CATALOG
 spec = CATALOG[sys.argv[2]](**json.loads(sys.argv[3]))
 cfg, rs = spec.initial(), spec.ruleset
 step = gca.step_sync
+for _ in range(int(sys.argv[4])):
+    cfg = step(cfg, rs)
 clock = time.process_time_ns
 gc.disable()
 reps = 1
@@ -65,14 +74,15 @@ print(min(batches))
 """
 
 
-def label(name: str, kwargs: dict) -> str:
+def label(name: str, kwargs: dict, t: int) -> str:
     n = kwargs["n"]
-    return f"{name} {n}x{n}" if name.startswith("xor2d") else f"{name} n={n}"
+    size = f"{n}x{n}" if name.startswith("xor2d") else f"n={n}"
+    return f"{name} {size}" + (f" t={t}" if t else "")
 
 
-def measure(tree: Path, name: str, kwargs: dict) -> float:
+def measure(tree: Path, name: str, kwargs: dict, t: int) -> float:
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tree / "src"), name, json.dumps(kwargs)],
+        [sys.executable, "-c", CHILD, str(tree / "src"), name, json.dumps(kwargs), str(t)],
         check=True, capture_output=True, text=True, cwd=tree,
     )
     return float(out.stdout.split()[-1])
