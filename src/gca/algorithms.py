@@ -17,7 +17,8 @@ a fixed point one step after its k generations, states it.
 
 Hot rules read states by index (``q[0]`` for ``.data``, ``q[1][0]`` for
 ``.pointers[0]``): max, reduce and Horn, every XOR rule (data, pointer and
-address modifier, 1-D and torus) and xor-plain's pointer function.
+address modifier, 1-D and torus), xor-plain's pointer function and fire-wave's
+data and pointer rules.
 
 A rule may memoise its result, sharing one tuple between cells, when the
 result depends on the stored pointer, t's parity or the cell's colour alone;

@@ -55,11 +55,12 @@ per-cell loop.
 A whole synchronous generation of more than 64 cells (``step_sync`` without
 ``phase1_order``) is stored in one pass after its last rule ran, whichever
 loop evaluated its cells, so a failing generation stores nothing.  When the
-pointer rule gave every cell one tuple object, cells whose new data are one
-object share one state (:func:`_states`); otherwise every cell gets a state
-of its own.  Asynchronous sweeps, whose later cells read the earlier ones,
-``phase1_order`` steps and generations of at most 64 cells store cell by
-cell.
+pointer rule gave every cell one tuple object and the first 16 new data hold
+at most two objects, the cells holding the first datum share one state, and
+so do those holding the first other object (:func:`_states`, by ``is``);
+every other cell gets a state of its own.  Asynchronous sweeps, whose later
+cells read the earlier ones, ``phase1_order`` steps and generations of at
+most 64 cells store cell by cell.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
@@ -78,7 +79,9 @@ import gc
 import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
+from operator import is_not
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -507,25 +510,29 @@ _UNSET = object()
 
 # Phase 1 stores a whole synchronous generation of over _SHARE_FROM cells in one
 # pass.  Over _SHARE_FROM cells with one pointer tuple, share states if the first
-# _SAMPLE data hold at most _FEW objects.  2-CPU Xeon: 4096 states cost 205-217 ns
-# each, shared 180-210 for up to 16 objects.  16 and 2 share no fold-1d generation of
-# over n/8 objects (8 and 4 shared 92, and peak RSS rose 1%); the sample costs 2.5 us.
+# _SAMPLE data hold at most _FEW objects, picked per cell by ``is``.  2-CPU Xeon,
+# 4096 random 0s and 1s: 100-103 ns per cell for one state each, 29 for the pick
+# (an id() map took 129-132); 38 for one object, found by the scan.  16 and 2 share
+# no fold-1d generation of over n/8 objects (8 and 4 shared 92, peak RSS +1%).
 _SHARE_FROM, _SAMPLE, _FEW = 64, 16, 2
 
 
 def _states(data: Iterable, pointers: Any = _UNSET) -> list:
-    """States of ``data`` with the one tuple ``pointers`` (cells of a list whose
-    data are one object may share one, by ``is``), or of the pairs in ``data``."""
+    """States of ``data`` with the one tuple ``pointers``, or of the pairs in
+    ``data``.  In a list of over _SHARE_FROM data whose sample holds at most two
+    objects, the cells whose data are one of those two share one state (``is``);
+    any other datum gets a state of its own."""
+    new = tuple.__new__  # no namedtuple wrapper
     if pointers is not _UNSET:
-        # an id names one object only while a list keeps every datum alive
+        # only a list is sampled and scanned; the slice keeps the ids' objects alive
         listed = type(data) is list and len(data) > _SHARE_FROM
         if listed and len(set(map(id, data[:_SAMPLE]))) <= _FEW:
-            ids = list(map(id, data))
-            firsts = dict(zip(ids, data))
-            one = {k: tuple.__new__(CellState, (d, pointers)) for k, d in firsts.items()}
-            return list(map(one.__getitem__, ids))
+            a = data[0]
+            b = next(filter(partial(is_not, a), data), _UNSET)  # C-level scan
+            sa, sb = new(CellState, (a, pointers)), new(CellState, (b, pointers))
+            return [sa if d is a else sb if d is b else new(CellState, (d, pointers)) for d in data]
         data = zip(data, repeat(pointers))
-    return list(map(tuple.__new__, repeat(CellState), data))  # no namedtuple wrapper
+    return list(map(new, repeat(CellState), data))
 
 
 def _no_pointers(ctx: RuleContext) -> tuple:

@@ -83,22 +83,22 @@ def firing_wave(
 
     def pointer_rule(ctx):
         q = ctx.cell
-        d = q.data
+        d = q[0]
         nb = ctx.neighbors[0]
-        if (d == S or d == G) and (nb.data == G or nb.pointers[0] != -1):
-            return (normalize_relative(q.pointers[0] + 1, n),)
+        if (d == S or d == G) and (nb[0] == G or nb[1][0] != -1):
+            return (normalize_relative(q[1][0] + 1, n),)
         if d == F:
             return (-1,)
-        return q.pointers
+        return q[1]
 
     def data_rule(ctx):
         q = ctx.cell
         nb = ctx.neighbors[0]
-        if nb.data == G and (q.pointers[0] != -1 or nb.pointers[0] == 0):
+        if nb[0] == G and (q[1][0] != -1 or nb[1][0] == 0):
             return F
-        if q.data == F:
+        if q[0] == F:
             return S
-        return q.data
+        return q[0]
 
     ruleset = RuleSet(
         variant="basic", arms=1, data_rule=data_rule, pointer_rule=pointer_rule

@@ -2,15 +2,23 @@
 
 Each test covers one numbered criterion, prints a single pass/fail line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them live) and
-enforces the runtime budget it was specified with.
+enforces the runtime budget it was specified with.  Before the first one,
+the module prints the CPU time of the benchmark's ``gca``-free reference
+kernel (``bench/reference.py``) beside the bench's nominal time for it, so
+a slow host can be told from a slow engine; the budgets are not scaled by
+it.
 """
 
 import gc
+import importlib.util
 import os
 import random
 import tempfile
 import time
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from gca import Steps, catalog_names, default_instance, execute
 from gca.algorithms import (
@@ -97,6 +105,16 @@ def criterion(num: int, label: str, budget: float):
         return run
 
     return wrap
+
+
+@pytest.fixture(scope="module", autouse=True)
+def host_speed():
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    print(f"host speed: reference kernel {reference.steady() * 1e3:.3f} ms CPU "
+          f"(the bench's nominal: {reference.NOMINAL_S * 1e3:.3f} ms)")
 
 
 def run_cli(tmp: str, args: list[str]) -> int:

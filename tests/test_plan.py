@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gca import (
     ByPointer,
+    CATALOG,
     CellState,
     Configuration,
     RuleContext,
@@ -755,6 +756,40 @@ def test_large_uniform_generations_share_their_states():
                                  data_rule=lambda ctx: ctx.neighbors[0].data))
     assert len({id(q) for q in nxt.states}) == 2
     assert nxt.data() == [1, 0] * 50
+
+
+def test_a_sample_of_one_object_still_shares_the_second():
+    # the first 16 data are one object, as on the cross grid: the second is
+    # found after the sample
+    p = (1,)
+    values = [0] * 16 + [1, 0] * 42
+    states = make_configuration(values, p, Topology.ring(100)).states
+    check_states(states, values, [p] * 100)
+    assert len({id(q) for q in states}) == 2
+
+
+@pytest.mark.parametrize("head, tail", [
+    ((0, 1), (0, 2, 1)),  # a third object
+    ((1,), (True, 1.0, 1)),  # equal objects after a sample of one
+    ((1, True), (1.0, True, 1)),
+    ((BIG,), (int(str(BIG)), BIG, [1])),
+])
+def test_the_pick_gives_every_other_object_its_own_state(head, tail):
+    p = (1,)
+    values = [head[i % len(head)] for i in range(16)] + [tail[i % len(tail)] for i in range(90)]
+    states = make_configuration(values, p, Topology.ring(106)).states
+    check_states(states, values, [p] * 106)
+    # the first datum and the first other object share; every other cell is alone
+    a = values[0]
+    b = next(d for d in values if d is not a)
+    assert len({id(q) for q in states}) == 2 + sum(d is not a and d is not b for d in values)
+
+
+def test_a_step_of_the_cross_grid_keeps_two_states():
+    spec = CATALOG["xor2d-r1"](n=64)  # 4096 cells whose first 16 are all 0
+    cfg = spec.initial()
+    assert len({id(q) for q in cfg.states}) == 2
+    assert len({id(q) for q in step_sync(cfg, spec.ruleset).states}) == 2
 
 
 # ---------------------------------------------------------------------------

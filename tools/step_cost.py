@@ -6,9 +6,12 @@ Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
 1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-sF on a 64x64 torus (a
 large generation read cell by cell) and of fire-wave at n = 16, each from
 the entry's generation 0; fire-wave also from its generation 1, which phase
-1 reads cell by cell, as it reads criterion 6's generations.  Every
-measurement runs in a fresh interpreter that imports ``gca`` from
-``TREE/src`` alone; the trees alternate within each round (the
+1 reads cell by cell, as it reads criterion 6's generations.  Every torus
+entry starts from the cross grid, whose first 16 cells are 0, so xor2d-r1
+64x64 also starts from a seeded random grid of 0s and 1s, as the bench's
+torus generations do (case option ``grid_seed``; the label names the seed, not
+the grid).  Every measurement runs in a fresh interpreter that imports
+``gca`` from ``TREE/src`` alone; the trees alternate within each round (the
 first tree leads in odd rounds, the last in even ones).  A process repeats
 the step in 60 batches of about 20 ms of CPU time each, with the cyclic
 collector paused as ``core.run`` pauses it, and reports its fastest batch
@@ -40,16 +43,21 @@ CASES = [
     ("fire-wave", {"n": 16}, 1),
     ("xor2d-r1", {"n": 8}, 0),
     ("xor2d-r1", {"n": 64}, 0),
+    ("xor2d-r1", {"n": 64, "grid_seed": 1}, 0),
     ("xor2d-sF", {"n": 64}, 0),
 ]
 
 # Run as ``python3 -c CHILD SRC NAME KWARGS T``: prints microseconds per step.
 CHILD = """\
-import gc, json, sys, time
+import gc, json, random, sys, time
 sys.path.insert(0, sys.argv[1])
 import gca
 from gca.algorithms import CATALOG
-spec = CATALOG[sys.argv[2]](**json.loads(sys.argv[3]))
+kwargs = json.loads(sys.argv[3])
+if "grid_seed" in kwargs:  # an n x n grid of seeded random 0s and 1s
+    rng, n = random.Random(kwargs.pop("grid_seed")), kwargs["n"]
+    kwargs["grid"] = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+spec = CATALOG[sys.argv[2]](**kwargs)
 cfg, rs = spec.initial(), spec.ruleset
 step = gca.step_sync
 for _ in range(int(sys.argv[4])):
@@ -77,7 +85,8 @@ print(min(batches))
 def label(name: str, kwargs: dict, t: int) -> str:
     n = kwargs["n"]
     size = f"{n}x{n}" if name.startswith("xor2d") else f"n={n}"
-    return f"{name} {size}" + (f" t={t}" if t else "")
+    grid = f" grid seed {kwargs['grid_seed']}" if "grid_seed" in kwargs else ""
+    return f"{name} {size}{grid}" + (f" t={t}" if t else "")
 
 
 def measure(tree: Path, name: str, kwargs: dict, t: int) -> float:
@@ -112,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             values = [stat(samples[key, t]) for t in range(len(trees))]
             cells += [f"{v:10.2f}" for v in values]
             cells += [f"{100 * (v / values[0] - 1):+7.1f}%" for v in values[1:]]
-        print(f"{key:22}", *cells)
+        print(f"{key:28}", *cells)
         for t, tree in enumerate(trees):
             xs = samples[key, t]
             row[str(tree)] = {"median": statistics.median(xs), "min": min(xs), "samples": xs}
