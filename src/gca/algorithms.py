@@ -23,9 +23,11 @@ data and pointer rules.
 A rule may memoise its result, sharing one tuple between cells, when the
 result depends on the stored pointer, t's parity or the cell's colour alone;
 never on an RNG.  :class:`gca.core.ByPointer` is the one memo by stored
-pointer.  Shared tuples let phase 1 skip rule calls and read a whole
-generation as rotations of its states (see :mod:`gca.core`);
-``tests/test_plan.py`` names the entries that do.
+pointer, and only a ``ByPointer`` pointer rule lets phase 1 reuse results
+and read a whole generation as rotations of its states (see
+:mod:`gca.core`); under any other pointer rule, shared tuples save the
+rules' own work but no phase-1 step.  ``tests/test_plan.py`` names the
+entries that rotate.
 """
 
 from __future__ import annotations

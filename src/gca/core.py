@@ -33,34 +33,40 @@ the loop, and every other shape resolves its arm vector with the loop form of
 :func:`resolve`.
 
 A synchronous step in ascending order with relative addressing reads a
-*uniform generation* (basic or general variant) as rotations of the state
-list.  It first resolves the generation's effective addresses: the stored
-tuples (basic), one call of a :class:`ByPointer` modifier when every cell
-holds one stored tuple object, or one call of any other modifier per cell,
-made before any read.  When every cell's addresses are one object (``is``),
-each arm's neighbours are one rotation of the states (:func:`_rotations`): a
-slice pair on a ring, a slice pair per row after a row rotation on a torus.
-All reads then come before any rule runs, and the rules run over the cells in
+*uniform generation* (basic or general variant, with a by-pointer pointer
+rule: a :class:`ByPointer`) as rotations of the state list.  It first
+resolves the generation's effective addresses: the stored tuples (basic),
+one call of a :class:`ByPointer` modifier when every cell holds one stored
+tuple object, or one call of any other modifier per cell, made before any
+read.  When every cell's addresses are one object (``is``), each arm's
+neighbours are one rotation of the states (:func:`_rotations`): a slice pair
+on a ring, a slice pair per row after a row rotation on a torus.  All reads
+then come before any rule runs, and the rules run over the cells in
 ascending order, the data rule before the pointer rule at every cell; access
 edges come from the same rotations of the indices, in the per-cell order.
 Otherwise the per-cell loop runs, reusing the addresses resolved so far, so
 no rule is called twice; it also takes over at the first cell that does not
 hold cell 0's stored tuple when the addresses came from that tuple.  Failures
-name the same cell, t, state and reads as the per-cell loop, except that a
-failure of a modifier that is not a :class:`ByPointer` at a later cell can be
-reported ahead of an earlier cell's data-rule failure.  Asynchronous sweeps,
+name the same cell, t, state and reads as the per-cell loop, except that in
+a generation with a by-pointer pointer rule a failure of a modifier that is
+not a :class:`ByPointer` at a later cell can be reported ahead of an earlier
+cell's data-rule failure.  Any other pointer rule, asynchronous sweeps,
 ``phase1_order``, the plain variant and absolute addressing always use the
-per-cell loop.
+per-cell loop, which resolves, reads and runs the rules of one cell before
+the next.
 
-A whole synchronous generation of more than 64 cells (``step_sync`` without
-``phase1_order``) is stored in one pass after its last rule ran, whichever
-loop evaluated its cells, so a failing generation stores nothing.  When the
-pointer rule gave every cell one tuple object and the first 16 new data hold
-at most two objects, the cells holding the first datum share one state, and
-so do those holding the first other object (:func:`_states`, by ``is``);
-every other cell gets a state of its own.  Asynchronous sweeps, whose later
-cells read the earlier ones, ``phase1_order`` steps and generations of at
-most 64 cells store cell by cell.
+A whole synchronous generation of more than 64 cells with a by-pointer
+pointer rule (``step_sync`` without ``phase1_order``; the plain variant's
+rule counts) is stored in one pass after its last rule ran, whichever loop
+evaluated its cells, so a failing generation stores nothing.  When the
+pointer rule ran once, so every cell got one tuple object, and the first 16
+new data hold at most two objects, the cells holding the first datum share
+one state, and so do those holding the first other object (:func:`_states`,
+by ``is``); every other cell gets a state of its own.  When it ran more than
+once, each cell's new pointers are asked of it again, a hit in its memo.
+Every other pointer rule, asynchronous sweeps, whose later cells read the
+earlier ones, ``phase1_order`` steps and generations of at most 64 cells
+store cell by cell.
 
 :class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
 wraps ``make(p)`` for a result (new pointers or effective addresses) that
@@ -80,7 +86,7 @@ import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from operator import is_not
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -554,13 +560,15 @@ def _phase1(
 
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.
-    ``order`` None is a whole synchronous generation in ascending order,
-    read as a uniform generation where the module docstring's rules allow;
-    above 64 cells it is stored in one pass after its last rule ran, and
-    every other order stores cell by cell.  Any rule failure surfaces as
-    :class:`RuleEvaluationError` naming the cell, t, the cell's state and
-    what it read; ``out`` then holds the cells stored before it, so none
-    after a failure in a generation stored in one pass.
+    ``order`` None is a whole synchronous generation in ascending order.
+    With a by-pointer pointer rule it is read as a uniform generation where
+    the module docstring's rules allow, running a modifier that is not a
+    :class:`ByPointer` ahead of the reads, and above 64 cells it is stored in
+    one pass after its last rule ran.  Any other pointer rule, and every
+    other order, runs the per-cell order and stores cell by cell.  Any rule
+    failure surfaces as :class:`RuleEvaluationError` naming the cell, t, the
+    cell's state and what it read; ``out`` then holds the cells stored
+    before it, so none after a failure in a generation stored in one pass.
     """
     n = topology.n
     basic = ruleset.variant == "basic"
@@ -573,16 +581,15 @@ def _phase1(
     # gp/gr: the pointer tuple object the by-pointer pointer rule was last
     # called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
     # cells hold the empty tuple and get it back, so their rule counts as
-    # by-pointer and is called for no such cell.  A generation stored in one
-    # pass (bulk) collects its new data in ds and, in calls, what g returned
-    # at each cell it ran for, with gb in gp's part.
+    # by-pointer.  A generation stored in one pass (bulk) collects its new
+    # data in ds and counts g's calls, with gb in gp's part.
     by_g = plain or type(g) is ByPointer
     by_modifier = type(modifier) is ByPointer
-    gp, gb, gr = () if plain else _UNSET, _UNSET, ()
-    bulk = n > _SHARE_FROM and order is None
+    gp = gb = gr = _UNSET
+    bulk = by_g and order is None and n > _SHARE_FROM
     if bulk:
-        gp, gb, ds, calls = gb, gp, [], {}
-    each = not (bulk or by_g)  # g runs at every cell, and each cell is stored at once
+        ds, calls = [], 0
+    each = not by_g  # g runs at every cell, and each cell is stored at once
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
@@ -594,14 +601,14 @@ def _phase1(
         if order is None:
             order = range(n)
             eff = _UNSET  # every cell's addresses, when they are one object
-            i = 0
-            ctx.cell = states[0]
-            p0 = ctx.cell[1]
-            # with ``hold`` the addresses come from p0, so every cell must
-            # hold p0: cells 0, 1 and n-1 are checked here, and each cell
-            # again as it is evaluated
-            hold = basic or by_modifier
-            if not plain and ruleset.addressing == "relative":
+            if by_g and not plain and ruleset.addressing == "relative":
+                i = 0
+                ctx.cell = states[0]
+                p0 = ctx.cell[1]
+                # with ``hold`` the addresses come from p0, so every cell must
+                # hold p0: cells 0, 1 and n-1 are checked here, and each cell
+                # again as it is evaluated
+                hold = basic or by_modifier
                 if not hold:  # any other modifier: per cell, up to a new object
                     eff = modifier(ctx)
                     effs = [eff]
@@ -638,12 +645,11 @@ def _phase1(
                             ds.append(f(ctx))
                         elif hold and p is not p0:
                             break
-                        elif each:
-                            out[i] = tnew(cs, (f(ctx), g(ctx)))
                         elif bulk:
                             ds.append(f(ctx))
-                            gr = calls[i] = g(ctx)
-                            gb = p if by_g else _UNSET
+                            gr = g(ctx)
+                            gb = p
+                            calls += 1
                         else:
                             d = f(ctx)
                             gr = g(ctx)
@@ -691,8 +697,9 @@ def _phase1(
                     ds.append(f(ctx))
                 elif bulk:
                     ds.append(f(ctx))
-                    gr = calls[i] = g(ctx)
-                    gb = p if by_g else _UNSET
+                    gr = g(ctx)
+                    gb = p
+                    calls += 1
                 else:
                     d = f(ctx)
                     gr = g(ctx)
@@ -707,11 +714,8 @@ def _phase1(
     except Exception as exc:  # before the reads: addresses, arity, order
         state = ctx.cell if ctx.i == i else None
         raise RuleEvaluationError(i, t, exc, state) from exc
-    if bulk and any(r is not gr for r in calls.values()):  # several pointer tuples
-        ps = calls.values()
-        if len(ps) < n:  # cell i gets what g returned at its last call up to i
-            ps = chain.from_iterable(map(repeat, ps, map(int.__sub__, [*calls, n][1:], calls)))
-        out[:] = _states(zip(ds, ps))
+    if bulk and calls > 1:  # each cell's result again: a hit in g's memo
+        out[:] = _states(zip(ds, [g(ctx) for ctx.cell in states]))
     elif bulk:
         out[:] = _states(ds, gr)
 
@@ -861,7 +865,8 @@ def run(
     ``events`` lists ``(time, mutator)`` pairs: external interventions applied
     in place to generation 0 and to each committed generation, before it is
     recorded or tested by the stop rule; a generation's mutators run in the
-    order given.  For the random async
+    order given.  ``order`` is the sweep order of async mode; sync mode
+    takes only ``"ascending"``.  For the random async
     order, ``seed`` seeds one stream that every sweep draws its order from.
     A fixed-point run is guarded by ``step_limit`` (default ``10*n + 64``);
     exceeding it raises :class:`StepLimitError`.  The input configuration is
@@ -875,6 +880,8 @@ def run(
         raise PreconditionError("fixed-point halting is defined for sync mode only")
     if record_edges and mode == "async":
         raise PreconditionError("access-edge recording is defined for sync mode only")
+    if mode == "sync" and order != "ascending":
+        raise PreconditionError(f"sweep order {order!r} is defined for async mode only")
 
     schedule: dict = {}
     for time, fn in events:

@@ -463,6 +463,14 @@ def test_run_rejects_negative_steps():
         run(cfg, max_ruleset(), Steps(-1))
 
 
+@pytest.mark.parametrize("order", ["descending", "random", "bogus"])
+def test_run_rejects_a_sweep_order_in_sync_mode(order):
+    cfg = make_configuration([1, 2], (1,), Topology.ring(2))
+    with pytest.raises(PreconditionError, match="async mode only"):
+        run(cfg, max_ruleset(), Steps(1), order=order, seed=3)
+    assert run(cfg, max_ruleset(), Steps(1), order="ascending").steps == 1
+
+
 def test_run_step_limit_guard():
     cfg = make_configuration([0, 0, 0], (1,), Topology.ring(3))
     rs = RuleSet(

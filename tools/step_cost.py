@@ -4,9 +4,11 @@
 
 Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
 1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-sF on a 64x64 torus (a
-large generation read cell by cell) and of fire-wave at n = 16, each from
-the entry's generation 0; fire-wave also from its generation 1, which phase
-1 reads cell by cell, as it reads criterion 6's generations.  Every torus
+large generation read cell by cell), of bitonic at n = 512 and xor1d-basic
+at n = 31 (pointer rules that are not by-pointer: cell by cell, each cell
+stored as it is evaluated) and of fire-wave at n = 16, each from the
+entry's generation 0; fire-wave also from its generation 1, which phase 1
+reads cell by cell, as it reads criterion 6's generations.  Every torus
 entry starts from the cross grid, whose first 16 cells are 0, so xor2d-r1
 64x64 also starts from a seeded random grid of 0s and 1s, as the bench's
 torus generations do (case option ``grid_seed``; the label names the seed, not
@@ -45,6 +47,8 @@ CASES = [
     ("xor2d-r1", {"n": 64}, 0),
     ("xor2d-r1", {"n": 64, "grid_seed": 1}, 0),
     ("xor2d-sF", {"n": 64}, 0),
+    ("bitonic", {"n": 512}, 0),
+    ("xor1d-basic", {"n": 31}, 0),
 ]
 
 # Run as ``python3 -c CHILD SRC NAME KWARGS T``: prints microseconds per step.
