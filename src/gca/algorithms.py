@@ -21,13 +21,14 @@ address modifier, 1-D and torus), xor-plain's pointer function and fire-wave's
 data and pointer rules.
 
 A rule may memoise its result, sharing one tuple between cells, when the
-result depends on the stored pointer, t's parity or the cell's colour alone;
-never on an RNG.  :class:`gca.core.ByPointer` is the one memo by stored
-pointer, and only a ``ByPointer`` pointer rule lets phase 1 reuse results
-and read a whole generation as rotations of its states (see
-:mod:`gca.core`); under any other pointer rule, shared tuples save the
-rules' own work but no phase-1 step.  ``tests/test_plan.py`` names the
-entries that rotate.
+result depends on the stored pointer, t's parity, the cell's colour or its
+datum alone; never on an RNG.  :class:`gca.core.ByPointer` is the one memo
+by stored pointer, and only a ``ByPointer`` pointer rule (or the plain
+variant, whose cells store no pointers) lets phase 1 reuse results and read
+a whole generation as rotations of its states: of one shared address tuple,
+or above 64 cells of up to four, one set per tuple (see :mod:`gca.core`).
+Under any other pointer rule, shared tuples save the rules' own work but no
+phase-1 step.  ``tests/test_plan.py`` names the entries that rotate.
 """
 
 from __future__ import annotations

@@ -115,7 +115,13 @@ def _parse_mode(cfg: RunConfig) -> tuple[str, str, int | None]:
             seed = int(parts[2]) if len(parts) == 3 else cfg.seed
         except ValueError:
             raise PreconditionError(f"update mode {cfg.mode!r}: the seed is not an integer") from None
-        if order == "random" and seed is None:
+        if order != "random":
+            if len(parts) == 3:
+                raise PreconditionError(
+                    f"update mode {cfg.mode!r}: only async:random takes a seed"
+                )
+            seed = None  # --seed still reaches an entry that takes one
+        elif seed is None:
             raise PreconditionError(
                 "async:random updating requires --seed for reproducibility"
             )
@@ -128,8 +134,8 @@ def _parse_mode(cfg: RunConfig) -> tuple[str, str, int | None]:
 def _build_spec(cfg: RunConfig) -> AlgorithmSpec:
     """Instantiate the algorithm with the options it takes; every other
     parameter keeps the entry's default.  --seed reaches only an entry that
-    takes a seed (it still seeds the update schedule), and --steps is the
-    run's stop rule, never an entry's own parameter.
+    takes a seed (it still seeds an async:random schedule), and --steps is
+    the run's stop rule, never an entry's own parameter.
     """
     builder = CATALOG[cfg.alg]
     params = inspect.signature(builder).parameters

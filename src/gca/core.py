@@ -32,28 +32,38 @@ with four arms, 1-D with two) are unrolled, the 1-D one-arm case is inlined in
 the loop, and every other shape resolves its arm vector with the loop form of
 :func:`resolve`.
 
-A synchronous step in ascending order with relative addressing reads a
-*uniform generation* (basic or general variant, with a by-pointer pointer
-rule: a :class:`ByPointer`) as rotations of the state list.  It first
-resolves the generation's effective addresses: the stored tuples (basic),
-one call of a :class:`ByPointer` modifier when every cell holds one stored
-tuple object, or one call of any other modifier per cell, made before any
-read.  When every cell's addresses are one object (``is``), each arm's
-neighbours are one rotation of the states (:func:`_rotations`): a slice pair
-on a ring, a slice pair per row after a row rotation on a torus.  All reads
-then come before any rule runs, and the rules run over the cells in
-ascending order, the data rule before the pointer rule at every cell; access
-edges come from the same rotations of the indices, in the per-cell order.
-Otherwise the per-cell loop runs, reusing the addresses resolved so far, so
-no rule is called twice; it also takes over at the first cell that does not
-hold cell 0's stored tuple when the addresses came from that tuple.  Failures
-name the same cell, t, state and reads as the per-cell loop, except that in
-a generation with a by-pointer pointer rule a failure of a modifier that is
-not a :class:`ByPointer` at a later cell can be reported ahead of an earlier
-cell's data-rule failure.  Any other pointer rule, asynchronous sweeps,
-``phase1_order``, the plain variant and absolute addressing always use the
-per-cell loop, which resolves, reads and runs the rules of one cell before
-the next.
+A synchronous step in ascending order with relative addressing and a
+by-pointer pointer rule (a :class:`ByPointer`, or the plain variant's) reads
+its generation as rotations of the state list where it can.  It first
+resolves the generation's effective addresses, before any read: the stored
+tuples (basic), one call of a :class:`ByPointer` modifier when every cell
+holds one stored tuple object, or one call per cell of any other modifier,
+up to the first cell whose addresses are a new object.  Above 64 cells the
+other modifier then runs for every other cell too, and so does the plain
+variant's pointer function.  Each distinct object among the addresses
+(``is``) is an *address class*.  When every cell's addresses are one object,
+each arm's neighbours are one rotation of the states (:func:`_rotations`): a
+slice pair on a ring, a slice pair per row after a row rotation on a torus.
+Above 64 cells, two to four classes that are tuples of one address per arm
+(a checkerboard's two colours, say, or one tuple per datum) are read as one
+set of rotations per class, and each cell's reads are picked from its own
+class's set (:func:`_columns`).  All reads then come before any rule runs,
+and the rules run over the cells in ascending order, the data rule before
+the pointer rule at every cell.  Access edges come from the same rotations
+of the cell indices, paired with their readers by C-level iterators in the
+per-cell order; with several classes, the reads are then the states at
+those targets.  Otherwise the per-cell loop runs, reusing the addresses
+resolved so far, so no rule is called twice; it also takes over at the
+first cell that does not hold cell 0's stored tuple when the addresses came
+from that tuple.
+
+Failures name the same cell, t, state and reads as the per-cell loop,
+except that a failure of an address rule run ahead of the reads at a later
+cell can be reported ahead of an earlier cell's data-rule failure: at 64
+cells or fewer only while every address so far is one object, above 64
+cells at any cell.  Any other pointer rule, asynchronous sweeps,
+``phase1_order`` and absolute addressing always use the per-cell loop, which
+resolves, reads and runs the rules of one cell before the next.
 
 A whole synchronous generation of more than 64 cells with a by-pointer
 pointer rule (``step_sync`` without ``phase1_order``; the plain variant's
@@ -86,8 +96,8 @@ import random as _random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
-from operator import is_not
+from itertools import chain, repeat
+from operator import add, is_, is_not, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -437,8 +447,8 @@ def _access_plan(
 
     The common relative shapes are unrolled; their unpacking is the arity
     check.  None stands for the 1-D relative one-arm case without edges,
-    which the phase-1 loop inlines.  A uniform generation of a synchronous
-    step reads through :func:`_rotations` and needs no plan.
+    which the phase-1 loop inlines.  A generation of a synchronous step read
+    through :func:`_rotations` needs no plan.
     """
     relative = addressing == "relative"
     n = topology.n
@@ -511,6 +521,40 @@ def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
     return vectors
 
 
+# Above _SHARE_FROM cells, phase 1 reads a generation whose cells' addresses are
+# 2 to _CLASSES objects as one set of rotations per object (the catalog's
+# checkerboard and state-dependent entries have two).
+_CLASSES = 4
+
+
+def _address_classes(effs: list, arms: int) -> tuple[list | None, list | None]:
+    """``(classes, offs)`` of a generation whose cells have the effective
+    addresses ``effs``, two objects or more: its distinct objects (``is``) in
+    order of first use, and each cell's position in the concatenation of one
+    list of n items per class (``k * n + i`` for cell i of class k).  Both
+    are None unless there are at most _CLASSES, each a tuple of ``arms``
+    addresses."""
+    ids = [*map(id, effs)]
+    first = dict.fromkeys(ids)
+    if len(first) > _CLASSES:
+        return None, None
+    classes = [effs[ids.index(k)] for k in first]
+    if any(type(c) is not tuple or len(c) != arms for c in classes):
+        return None, None
+    n = len(effs)
+    base = dict(zip(first, range(0, n * len(first), n)))
+    return classes, [*map(add, map(base.__getitem__, ids), range(n))]
+
+
+def _columns(topology: Topology, classes: list, offs: list, seq: list) -> list:
+    """Per arm, the tuple whose i-th item is the item of ``seq`` at cell i's
+    target, picked by ``offs`` (see :func:`_address_classes`) from the
+    :func:`_rotations` of each address class."""
+    pick = itemgetter(*offs)  # over 64 offsets, so it returns a tuple
+    vectors = zip(*[_rotations(topology, c, seq) for c in classes])
+    return [pick([*chain.from_iterable(arm)]) for arm in vectors]
+
+
 _UNSET = object()
 
 
@@ -561,10 +605,12 @@ def _phase1(
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.
     ``order`` None is a whole synchronous generation in ascending order.
-    With a by-pointer pointer rule it is read as a uniform generation where
-    the module docstring's rules allow, running a modifier that is not a
-    :class:`ByPointer` ahead of the reads, and above 64 cells it is stored in
-    one pass after its last rule ran.  Any other pointer rule, and every
+    With a by-pointer pointer rule it is read as rotations where the module
+    docstring's rules allow: of one address class, or above 64 cells of one
+    to four.  A modifier that is not a :class:`ByPointer` runs ahead of the
+    reads up to its first new object, and above 64 cells for every cell, as
+    does the plain variant's pointer function there; above 64 cells the
+    generation is also stored in one pass after its last rule ran.  Any other pointer rule, and every
     other order, runs the per-cell order and stores cell by cell.  Any rule
     failure surfaces as :class:`RuleEvaluationError` naming the cell, t, the
     cell's state and what it read; ``out`` then holds the cells stored
@@ -601,7 +647,9 @@ def _phase1(
         if order is None:
             order = range(n)
             eff = _UNSET  # every cell's addresses, when they are one object
-            if by_g and not plain and ruleset.addressing == "relative":
+            classes = None  # else 2 to 4 objects, and where each cell reads
+            nbs = None  # every cell's reads, when the rotations give them
+            if by_g and ruleset.addressing == "relative":
                 i = 0
                 ctx.cell = states[0]
                 p0 = ctx.cell[1]
@@ -609,31 +657,66 @@ def _phase1(
                 # hold p0: cells 0, 1 and n-1 are checked here, and each cell
                 # again as it is evaluated
                 hold = basic or by_modifier
-                if not hold:  # any other modifier: per cell, up to a new object
-                    eff = modifier(ctx)
-                    effs = [eff]
-                    for i in range(1, n):
-                        ctx.i = i
-                        ctx.cell = states[i]
-                        e = modifier(ctx)
-                        effs.append(e)
-                        if e is not eff:
-                            eff = _UNSET
-                            break
+                if hold:
+                    if states[-1][1] is p0 and states[1 % n][1] is p0:
+                        eff = modifier(ctx) if by_modifier else p0
+                elif not plain or bulk:
+                    effs = []
+                    if not plain:  # any other modifier: per cell, up to a new object
+                        eff = modifier(ctx)
+                        effs.append(eff)
+                        for i in range(1, n):
+                            ctx.i = i
+                            ctx.cell = states[i]
+                            e = modifier(ctx)
+                            effs.append(e)
+                            if e is not eff:
+                                eff = _UNSET
+                                break
+                    if bulk and eff is _UNSET:  # above 64 cells: every cell before any read
+                        rest = enumerate(states[len(effs):], len(effs))
+                        try:
+                            effs += ([pf(ctx.i, ctx.cell) for ctx.i, ctx.cell in rest] if plain
+                                     else [modifier(ctx) for ctx.i, ctx.cell in rest])
+                        except Exception:
+                            i = ctx.i  # the failing cell, for the report below
+                            raise
+                        if plain:  # the per-cell loop, if it runs, reuses them
+                            pf = lambda i, q: effs[i]
+                        if all(map(is_, effs, repeat(effs[0]))):  # C-level scan
+                            eff = effs[0]
+                        else:
+                            classes, offs = _address_classes(effs, arms)
                     ahead = len(effs)
-                elif states[-1][1] is p0 and states[1 % n][1] is p0:
-                    eff = modifier(ctx) if by_modifier else p0
             if eff is not _UNSET:
                 i = ctx.i = 0
                 ctx.cell = states[0]
                 if len(eff) != arms:
                     raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
-                vectors = _rotations(topology, eff, states)
+                nbs = zip(*_rotations(topology, eff, states))
+                if edge_sink is not None:
+                    idx = [*order]
+                    targets = _rotations(topology, eff, idx)
+            elif classes is not None:
+                try:
+                    if edge_sink is None:
+                        nbs = zip(*_columns(topology, classes, offs, states))
+                    else:  # the targets, and the states at them
+                        idx = [*order]
+                        targets = _columns(topology, classes, offs, idx)
+                        nbs = zip(*[itemgetter(*js)(states) for js in targets])
+                except Exception:
+                    pass  # the per-cell loop reports the cell whose class fails
+            if nbs is not None:
                 if edge_sink is not None:
                     mark = len(edge_sink)
-                    targets = zip(*_rotations(topology, eff, list(order)))
-                    edge_sink.extend([(c, j) for c, js in zip(order, targets) for j in js])
-                for i, q, nb in zip(order, states, zip(*vectors)):
+                    readers = [0] * (n * arms)
+                    flat = readers[:]
+                    for k, column in enumerate(targets):
+                        readers[k::arms] = idx
+                        flat[k::arms] = column
+                    edge_sink.extend(zip(readers, flat))
+                for i, q, nb in zip(order, states, nbs):
                     p = q[1]
                     ctx.i = i
                     ctx.cell = q
@@ -758,7 +841,8 @@ def step_async(
 
     For the random order, ``seed`` is either a seed (the sweep's order is
     then a function of it alone) or a ``random.Random`` to draw the order
-    from, so that successive sweeps continue one stream.
+    from, so that successive sweeps continue one stream.  The other orders
+    read no seed and reject one.
     """
     n = cfg.n
     if order == "ascending":
@@ -773,6 +857,8 @@ def step_async(
         rng.shuffle(sequence)
     else:
         raise PreconditionError(f"unknown async order {order!r}")
+    if seed is not None and order != "random":
+        raise PreconditionError(f"a seed orders only the random sweep, not {order!r}")
     work = cfg.copy()
     _phase1(ruleset, cfg.topology, cfg.time, work.states, work.states, sequence)
     work.time = cfg.time + 1
@@ -866,8 +952,9 @@ def run(
     in place to generation 0 and to each committed generation, before it is
     recorded or tested by the stop rule; a generation's mutators run in the
     order given.  ``order`` is the sweep order of async mode; sync mode
-    takes only ``"ascending"``.  For the random async
-    order, ``seed`` seeds one stream that every sweep draws its order from.
+    takes only ``"ascending"``.  For the random async order, ``seed`` seeds
+    one stream that every sweep draws its order from; no other order takes
+    a seed.
     A fixed-point run is guarded by ``step_limit`` (default ``10*n + 64``);
     exceeding it raises :class:`StepLimitError`.  The input configuration is
     not modified.  The cyclic garbage collector is paused while the run steps,
@@ -882,6 +969,8 @@ def run(
         raise PreconditionError("access-edge recording is defined for sync mode only")
     if mode == "sync" and order != "ascending":
         raise PreconditionError(f"sweep order {order!r} is defined for async mode only")
+    if seed is not None and order != "random":
+        raise PreconditionError(f"a seed orders only the random sweep, not {order!r}")
 
     schedule: dict = {}
     for time, fn in events:

@@ -288,6 +288,22 @@ def test_mode_seed_that_is_not_an_integer_is_a_precondition_error(outdir, tmp_pa
     assert "the seed is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_a_mode_seed_needs_the_random_order(outdir, capsys, order):
+    mode = f"async:{order}:5"
+    assert main(["run", "--alg", "max", "--mode", mode, "--format", "none"]) == 2
+    assert capsys.readouterr().err == f"error: update mode {mode!r}: only async:random takes a seed\n"
+
+
+def test_seed_reaches_the_entry_not_a_sweep_that_reads_none(outdir):
+    rc = main(["run", "--alg", "max", "--n", "12", "--variant", "random", "--seed", "4",
+               "--mode", "async:descending", "--format", "csv"])
+    assert rc == 0
+    spec = alg_max(12, pointer_variant="random", seed=4)
+    result = execute(spec, mode="async", order="descending", record_states=True)
+    assert (outdir / "max.csv").read_bytes() == formats.trace_csv(result.trace).encode()
+
+
 def test_async_modes_run(outdir):
     assert main(["run", "--alg", "max", "--n", "8", "--mode", "async:descending",
                  "--format", "none"]) == 0

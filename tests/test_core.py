@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gca import (
+    CATALOG,
     ByPointer,
     CellState,
     FixedPoint,
@@ -21,6 +22,7 @@ from gca import (
     make_configuration,
     normalize_relative,
     resolve,
+    execute,
     run,
     step_async,
     step_sync,
@@ -420,6 +422,25 @@ def test_run_async_random_sweeps_differ():
     assert all(sorted(o) == list(range(n)) for o in orders)
     assert len(set(orders)) > 1
     assert first == again
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_a_sweep_that_reads_no_seed_rejects_one(order):
+    cfg = make_configuration([3, 1, 2, 0], (1,), Topology.ring(4))
+    rs = max_ruleset()
+    with pytest.raises(PreconditionError, match="only the random sweep"):
+        step_async(cfg, rs, order=order, seed=123)
+    with pytest.raises(PreconditionError, match="only the random sweep"):
+        run(cfg, rs, Steps(2), mode="async", order=order, seed=123)
+    with pytest.raises(PreconditionError, match="only the random sweep"):
+        execute(CATALOG["max"](), Steps(2), mode="async", order=order, seed=123)
+    assert run(cfg, rs, Steps(2), mode="async", order=order).steps == 2
+
+
+def test_a_sync_run_rejects_a_seed():
+    cfg = make_configuration([1, 2], (1,), Topology.ring(2))
+    with pytest.raises(PreconditionError, match="only the random sweep"):
+        run(cfg, max_ruleset(), Steps(1), seed=3)
 
 
 def test_step_async_unknown_order():

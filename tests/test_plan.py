@@ -1,9 +1,11 @@
 """Property tests of phase 1 against a reference built from ``resolve``:
 every variant, ring and torus, relative and absolute addressing, one to four
 arms, with cells that share one pointer tuple (read as rotations of the
-state list) or not (read through the access plan); and of phase 1's
-by-pointer shortcut against per-cell calls.  Last, the fast-path map: which
-catalog entries read through rotations."""
+state list) or not (read through the access plan), and generations of over
+64 cells whose addresses are a few prebuilt tuples (address classes, read
+as one set of rotations each); and of phase 1's by-pointer shortcut against
+per-cell calls.  Last, the fast-path map: which catalog entries read
+through rotations."""
 
 import random
 from array import array
@@ -243,7 +245,7 @@ def test_step_async_matches_sequential_reference(case, order, seed):
     cfg, rs = case
     sequence = sweep_order(cfg.n, order, seed)
     before = list(cfg.states)
-    nxt = step_async(cfg, rs, order=order, seed=seed)
+    nxt = step_async(cfg, rs, order=order, seed=seed if order == "random" else None)
     assert nxt.states == reference_async(cfg, rs, sequence)
     assert nxt.time == cfg.time + 1
     assert cfg.states == before
@@ -376,7 +378,7 @@ def test_by_pointer_shortcut_matches_per_cell_calls(case, order, seed):
     sequence = sweep_order(cfg.n, order, seed)
     edges = []
     sync = step_sync(cfg, rs, edge_sink=edges)
-    sweep = step_async(cfg, rs, order=order, seed=seed)
+    sweep = step_async(cfg, rs, order=order, seed=seed if order == "random" else None)
     assert sync.states == reference_sync(cfg, ref)
     assert edges == reference_edges(cfg, ref, range(cfg.n))
     assert sweep.states == reference_async(cfg, ref, sequence)
@@ -452,21 +454,35 @@ def one_object(cfg, rs):
     return all(e is effs[0] for e in effs)
 
 
+def runs_ahead(cfg, rs):
+    """Whether phase 1 resolves every cell's addresses before any read, by
+    the model of ``reference_failure``."""
+    if rs.addressing != "relative":
+        return False
+    if rs.variant == "plain":
+        return cfg.n > 64
+    return (rs.variant == "general" and type(rs.pointer_rule) is ByPointer
+            and type(rs.address_modifier) is not ByPointer)
+
+
 def reference_failure(cfg, rs):
     """``(cell, t, state, read)`` of a failing synchronous step, or None.
 
     Cells run in ascending order, each resolving, reading, then running the
     data and the pointer rule.  With relative addressing and a ByPointer
     pointer rule, a modifier that is not a ByPointer runs for every cell
-    first; phase 1 does so when every cell's addresses turn out to be one
-    object."""
+    first; phase 1 does so above 64 cells, and at 64 or fewer when every
+    cell's addresses turn out to be one object.  Above 64 cells with
+    relative addressing, the plain variant's pointer function also runs for
+    every cell first."""
     states, t = cfg.states, cfg.time
-    if (rs.addressing == "relative" and rs.variant == "general"
-            and type(rs.pointer_rule) is ByPointer
-            and type(rs.address_modifier) is not ByPointer):
+    if runs_ahead(cfg, rs):
         for i in range(cfg.n):
             try:
-                rs.address_modifier(context(rs, states, i, t))
+                if rs.variant == "plain":
+                    rs.pointer_function(i, states[i])
+                else:
+                    rs.address_modifier(context(rs, states, i, t))
             except Exception:
                 return i, t, states[i], ()
     for i in range(cfg.n):
@@ -511,11 +527,9 @@ def failing_steps(draw):
     order of the rules shows), and whose basic cells at times hold pointers
     of a wrong arity."""
     cfg, rs = draw(automata(sharing="shared") | by_pointer_automata().map(lambda case: case[:2]))
-    ahead = (rs.variant == "general" and type(rs.pointer_rule) is ByPointer
-             and type(rs.address_modifier) is not ByPointer)
-    # phase 1 resolves another modifier's addresses ahead only up to the
-    # first cell whose addresses are a new object
-    assume(rs.addressing != "relative" or not ahead or one_object(cfg, rs))
+    # at 64 cells or fewer, phase 1 resolves another modifier's addresses
+    # ahead only up to the first cell whose addresses are a new object
+    assume(not runs_ahead(cfg, rs) or one_object(cfg, rs))
     cells = st.integers(0, cfg.n - 1)
     rules = {}
     if rs.variant != "plain":
@@ -665,25 +679,54 @@ def test_a_uniform_generation_stores_the_objects_its_rules_returned(case):
 def cell_by_cell_automata(draw):
     """A whole synchronous generation of 65 to 150 cells that phase 1 reads
     cell by cell, with the returns of the rules logged as in
-    ``pool_automata``.  Its cells read through a general modifier that
-    returns one of two prebuilt tuples by cell parity (as sF-sH do), a plain
-    pointer function that returns one of two by datum (as xor-plain does),
-    or as a basic rule set on cells that each hold their own tuple.  The
-    cells hold a few distinct tuples, so a ByPointer pointer rule returns
-    several; the other pointer rules return one of two prebuilt tuples or a
-    fresh tuple per cell."""
-    read = draw(st.sampled_from(("parity", "plain", "own")))
+    ``pool_automata``.  Its cells read through a general modifier or a plain
+    pointer function that returns one of five prebuilt tuples by ``i % 5``
+    (more address objects than phase 1 reads as rotations), or as a basic
+    rule set on cells that each hold their own tuple.  The cells hold a few
+    distinct tuples, so a ByPointer pointer rule returns several; the other
+    pointer rules return one of two prebuilt tuples or a fresh tuple per
+    cell."""
+    read = draw(st.sampled_from(("five", "plain", "own")))
     arms = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        topo = Topology.torus(draw(st.integers(9, 12)), draw(st.integers(9, 12)))
-        address = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
-    else:
-        topo = Topology.ring(draw(st.integers(65, 150)))
-        address = st.integers(-25, 25)
+    topo, address = large_shape(draw)
     n = topo.n
     vector = st.tuples(*[address] * arms)
+    values, data, data_rule = logged_data(draw, n)
+    news = [None] * n
+    five = [draw(vector) for _ in range(5)]
+    assume(len({id(v) for v in five}) == 5)  # five address objects
+    if read == "plain":
+        rs = RuleSet(variant="plain", arms=arms, data_rule=data_rule,
+                     pointer_function=lambda i, q: five[i % 5])
+        cfg = make_configuration(values, None, topo)
+        news[:] = [()] * n
+    else:
+        shape = dict(variant="basic", arms=arms, data_rule=data_rule,
+                     pointer_rule=logged_pointer_rule(draw, n, arms, vector, news))
+        if read == "five":
+            shape.update(variant="general", address_modifier=lambda ctx: five[ctx.i % 5])
+        rs = RuleSet(**shape)
+        # each cell its own copy of a pool tuple; a general read may share them
+        cfg = make_configuration(values, pool_pointers(draw, n, vector, copy=read == "own"), topo)
+    cfg.time = draw(st.integers(0, 5))
+    return cfg, rs, data, news
+
+
+def large_shape(draw):
+    """``(topology, address strategy)``: a ring of 65 to 150 cells or a torus
+    of 81 to 144."""
+    if draw(st.booleans()):
+        topo = Topology.torus(draw(st.integers(9, 12)), draw(st.integers(9, 12)))
+        return topo, st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    return Topology.ring(draw(st.integers(65, 150))), st.integers(-25, 25)
+
+
+def logged_data(draw, n):
+    """``(values, data, data_rule)``: generation 0's data from a palette of
+    POOL objects, and a data rule that returns palette objects and logs in
+    ``data`` what it returned per cell."""
     palette = draw(palettes | st.sampled_from([[1, True], [1, 1.0], [BIG, POOL[5]]]))
-    data, news = [None] * n, [None] * n
+    data = [None] * n
 
     def data_rule(ctx):
         k = code(ctx.cell.data) + ctx.i + ctx.t
@@ -691,41 +734,38 @@ def cell_by_cell_automata(draw):
         data[ctx.i] = palette[k % len(palette)]
         return data[ctx.i]
 
+    return [draw(st.sampled_from(palette)) for _ in range(n)], data, data_rule
+
+
+def logged_pointer_rule(draw, n, arms, vector, news, index=None):
+    """A ByPointer pointer rule, or one that returns one of two prebuilt
+    tuples or a fresh tuple per cell and logs them in ``news``; a fresh
+    tuple moves each pointer by ``index`` of the datum read (default
+    ``code``)."""
+    index = index or code
+    kind = draw(st.sampled_from(("by-pointer", "two", "fresh")))
+    if kind == "by-pointer":
+        return ByPointer(by_pointer_make(arms, 1))
     two = [draw(vector) for _ in range(2)]
-    values = [draw(st.sampled_from(palette)) for _ in range(n)]
-    if read == "plain":
-        rs = RuleSet(variant="plain", arms=arms, data_rule=data_rule,
-                     pointer_function=lambda i, q: two[code(q.data) & 1])
-        cfg = make_configuration(values, None, topo)
-        news[:] = [()] * n
-    else:
-        kind = draw(st.sampled_from(("by-pointer", "two", "fresh")))
-        if kind == "by-pointer":
-            g = ByPointer(by_pointer_make(arms, 1))
+    stride = draw(st.integers(1, n))
+
+    def g(ctx):
+        if kind == "two":
+            news[ctx.i] = two[ctx.i // stride % 2]
         else:
-            stride = draw(st.integers(1, n))
+            cells = zip(ctx.cell.pointers, ctx.neighbors)
+            news[ctx.i] = tuple(shift(p, index(q.data)) for p, q in cells)
+        return news[ctx.i]
 
-            def g(ctx):
-                if kind == "two":
-                    news[ctx.i] = two[ctx.i // stride % 2]
-                else:
-                    cells = zip(ctx.cell.pointers, ctx.neighbors)
-                    news[ctx.i] = tuple(shift(p, code(q.data)) for p, q in cells)
-                return news[ctx.i]
+    return g
 
-        shape = dict(variant="basic", arms=arms, data_rule=data_rule, pointer_rule=g)
-        if read == "parity":
-            shape.update(variant="general", address_modifier=lambda ctx: two[ctx.i & 1])
-        pool = draw(st.lists(vector, min_size=1, max_size=3))
-        # each cell its own copy of a pool tuple; a parity read may share them
-        copy = read == "own" or draw(st.booleans())
-        pointers = [tuple(list(v)) if copy else v
-                    for v in (draw(st.sampled_from(pool)) for _ in range(n))]
-        rs = RuleSet(**shape)
-        cfg = make_configuration(values, pointers, topo)
-    assume(two[0] is not two[1])  # the parity read's addresses are two objects
-    cfg.time = draw(st.integers(0, 5))
-    return cfg, rs, data, news
+
+def pool_pointers(draw, n, vector, copy):
+    """Each cell a tuple from a pool of one to three, the pool's own object
+    or, with ``copy``, an equal copy of it."""
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
+    copy = copy or draw(st.booleans())
+    return [tuple(list(v)) if copy else v for v in (draw(st.sampled_from(pool)) for _ in range(n))]
 
 
 @given(cell_by_cell_automata())
@@ -746,14 +786,149 @@ def test_a_large_generation_read_cell_by_cell_stores_what_its_rules_returned(cas
         cfg = nxt
 
 
-@given(pool_automata() | cell_by_cell_automata(), st.data())
+@st.composite
+def class_automata(draw, distinct=False):
+    """A whole synchronous generation of 65 to 150 cells, general or plain,
+    whose modifier or pointer function returns one of k prebuilt tuples (the
+    address classes, k = 1 to 5; phase 1 reads up to four as rotations) by
+    cell parity (the checkerboard colour on a torus, as sF-sH), by datum (as
+    xor-plain) or by ``i % k``.  At times one class has the wrong arity or
+    an address that resolves nowhere, or the addressing is absolute.  The
+    rules log what they returned as in ``pool_automata``; with ``distinct``,
+    cell i holds datum i instead, so that every read shows its target, and
+    nothing is logged."""
+    variant = draw(st.sampled_from(("general", "plain")))
+    arms = draw(st.integers(1, 4))
+    topo, address = large_shape(draw)
+    n = topo.n
+    w = topo.width
+    vector = st.tuples(*[address] * arms)
+    if distinct:
+        values, data, rule, index = list(range(n)), None, data_rule, int
+    else:
+        values, data, rule = logged_data(draw, n)
+        index = code
+    news = [()] * n
+    classes = [draw(vector) for _ in range(draw(st.integers(1, 5)))]
+    flaw = draw(st.sampled_from((None, None, None, "arity", "address")))
+    if flaw == "arity":
+        classes[-1] = classes[-1] + classes[-1][:1]
+    elif flaw == "address":
+        classes[-1] = (None,) * arms
+    k = len(classes)
+    key = draw(st.sampled_from(("parity", "datum", "index")))
+    if key == "parity":
+        def pick(i, q):
+            return classes[(i % w + i // w) % 2 % k]
+    elif key == "datum":
+        def pick(i, q):
+            return classes[index(q.data) % k]
+    else:
+        def pick(i, q):
+            return classes[i % k]
+    shape = dict(variant=variant, arms=arms, data_rule=rule,
+                 addressing=draw(st.sampled_from(("relative",) * 3 + ("absolute",))))
+    if variant == "plain":
+        rs = RuleSet(**shape, pointer_function=pick)
+        cfg = make_configuration(values, None, topo)
+    else:
+        rs = RuleSet(**shape, address_modifier=lambda ctx: pick(ctx.i, ctx.cell),
+                     pointer_rule=logged_pointer_rule(draw, n, arms, vector, news, index))
+        cfg = make_configuration(values, pool_pointers(draw, n, vector, copy=False), topo)
+    cfg.time = draw(st.integers(0, 5))
+    return cfg, rs, data, news
+
+
+@given(class_automata())
+def test_address_classes_match_the_reference(case):
+    # two steps, each against the reference's own generation: the second
+    # reads the data that the first stored
+    cfg, rs, data, news = case
+    ref = cfg
+    for _ in range(2):
+        want = reference_failure(ref, rs)
+        if want is not None:  # a class that resolves nowhere
+            for edges in (None, []):
+                with pytest.raises(RuleEvaluationError) as info:
+                    step_sync(cfg, rs, edge_sink=edges)
+                exc = info.value
+                assert (exc.cell, exc.time, exc.state, exc.read) == want
+            return
+        edges = []
+        nxt = step_sync(cfg, rs, edge_sink=edges)
+        if type(rs.pointer_rule) is ByPointer:
+            news = [rs.pointer_rule.memo[q.pointers[0]] for q in cfg.states]
+        check_states(nxt.states, list(data), list(news))
+        want = reference_edges(ref, rs, range(ref.n))
+        assert len(edges) == len(want)
+        for got, expected in zip(edges, want):
+            assert type(got) is tuple and got == expected
+        ref = Configuration(reference_sync(ref, rs), ref.topology, ref.time + 1)
+        assert nxt.states == ref.states
+        cfg = nxt
+
+
+def fail_at_cell(pointer_function, bad):
+    """A plain ``pointer_function(i, q)``, raising at cell ``bad``."""
+    if bad is None:
+        return pointer_function
+
+    def call(i, q):
+        if i == bad:
+            raise ArithmeticError("boom")
+        return pointer_function(i, q)
+
+    return call
+
+
+@given(class_automata(distinct=True), st.data())
+def test_failures_of_address_classes_match_the_reference(case, data):
+    # the data rule fails at a drawn cell, so its reads show; the modifier or
+    # the pointer function and the pointer rule each at a drawn cell or none
+    cfg, rs, _, _ = case
+    cells = st.none() | st.integers(0, cfg.n - 1)
+    rules = {"data_rule": fail_at(rs.data_rule, data.draw(st.integers(0, cfg.n - 1)))}
+    if rs.variant == "plain":
+        rules["pointer_function"] = fail_at_cell(rs.pointer_function, data.draw(cells))
+    else:
+        rules["address_modifier"] = fail_at(rs.address_modifier, data.draw(cells))
+        rules["pointer_rule"] = fail_at(rs.pointer_rule, data.draw(cells))
+    broken = replace(rs, **rules)
+    want = reference_failure(cfg, broken)
+    for edges in (None, []):
+        try:
+            step_sync(cfg, broken, edge_sink=edges)
+        except RuleEvaluationError as exc:
+            assert (exc.cell, exc.time, exc.state, exc.read) == want
+        else:
+            assert want is None
+
+
+def test_above_64_cells_every_address_is_resolved_ahead_of_the_reads():
+    # cells of two colours on a ring, a pointer function that fails at
+    # cell 40, a data rule that fails at cell 1: above 64 cells the pointer
+    # function runs for every cell first, so cell 40 is reported; at 64
+    # cells or fewer cell 1 is, after cell 1's reads
+    even, odd = (1, -1), (2, -2)
+    for n, want in ((66, 40), (64, 1)):
+        rs = RuleSet(variant="plain", arms=2, data_rule=fail_at(data_rule, 1),
+                     pointer_function=fail_at_cell(lambda i, q: odd if i & 1 else even, 40))
+        cfg = make_configuration(list(range(n)), None, Topology.ring(n))
+        with pytest.raises(RuleEvaluationError) as info:
+            step_sync(cfg, rs)
+        exc = info.value
+        assert (exc.cell, exc.state) == (want, cfg.states[want])
+        assert exc.read == (() if want == 40 else (cfg.states[3], cfg.states[n - 1]))
+
+
+@given(pool_automata() | cell_by_cell_automata() | class_automata(), st.data())
 def test_a_failing_large_uniform_generation_stores_nothing(case, data):
     # a synchronous generation of more than 64 cells with a by-pointer
     # pointer rule is stored in one pass, whichever loop reads it; any other
     # pointer rule stores each cell as it is evaluated.  step_sync commits
     # nothing either way
     cfg, rs, _, _ = case
-    assume(cfg.n > 64)
+    assume(cfg.n > 64 and reference_failure(cfg, rs) is None)  # no flawed class
     bad = data.draw(st.integers(0, cfg.n - 1))
     broken = replace(rs, data_rule=fail_at(rs.data_rule, bad))
     out = [None] * cfg.n
@@ -866,3 +1041,18 @@ def test_fast_path_map(name, monkeypatch):
         monkeypatch.setattr(core, read.__name__, counted)
     steps = execute(default_instance(name)).steps
     assert "".join(reads) == ("R" if name in EVERY_STEP_ROTATES else "P") * steps
+
+
+@pytest.mark.parametrize("name", ["xor-plain", "xor2d-sF", "xor2d-sG", "xor2d-sH", "xor2d-tB"])
+def test_a_9x9_instance_reads_every_step_through_rotations(name, monkeypatch):
+    # 81 cells: sF-sH and xor-plain read their two address classes as
+    # rotations, tB its one; "|" marks the start of each step
+    reads = []
+    for mark, read in (("R", core._rotations), ("P", core._access_plan), ("|", core.step_sync)):
+        def counted(*args, mark=mark, read=read, **kwargs):
+            reads.append(mark)
+            return read(*args, **kwargs)
+        monkeypatch.setattr(core, read.__name__, counted)
+    steps = execute(CATALOG[name](n=9)).steps
+    marks = "".join(reads).split("|")[1:]
+    assert len(marks) == steps and set(marks) == {"RR" if name != "xor2d-tB" else "R"}

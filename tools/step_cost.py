@@ -3,21 +3,25 @@
     python3 tools/step_cost.py TREE [TREE ...] [--rounds N]
 
 Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
-1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-sF on a 64x64 torus (a
-large generation read cell by cell), of bitonic at n = 512 and xor1d-basic
-at n = 31 (pointer rules that are not by-pointer: cell by cell, each cell
-stored as it is evaluated) and of fire-wave at n = 16, each from the
-entry's generation 0; fire-wave also from its generation 1, which phase 1
-reads cell by cell, as it reads criterion 6's generations.  Every torus
-entry starts from the cross grid, whose first 16 cells are 0, so xor2d-r1
-64x64 also starts from a seeded random grid of 0s and 1s, as the bench's
-torus generations do (case option ``grid_seed``; the label names the seed, not
-the grid).  Every measurement runs in a fresh interpreter that imports
-``gca`` from ``TREE/src`` alone; the trees alternate within each round (the
-first tree leads in odd rounds, the last in even ones).  A process repeats
-the step in 60 batches of about 20 ms of CPU time each, with the cyclic
-collector paused as ``core.run`` pauses it, and reports its fastest batch
-in microseconds per step.
+1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-tB on a 64x64 torus (one
+address object from a modifier that is not a ``ByPointer``), of xor2d-sF on
+8x8 and 64x64 tori and xor-plain on a 64x64 torus (two address objects per
+generation: read cell by cell at 64 cells, as two sets of rotations above),
+of bitonic at n = 512 and xor1d-basic at n = 31 (pointer rules that are not
+by-pointer: cell by cell, each cell stored as it is evaluated) and of
+fire-wave at n = 16, each from the entry's generation 0; fire-wave also from
+its generation 1, which phase 1 reads cell by cell, as it reads criterion
+6's generations.  Every torus entry starts from the cross grid, whose first
+16 cells are 0, so xor2d-r1 64x64 also starts from a seeded random grid of
+0s and 1s, as the bench's torus generations do (case option ``grid_seed``;
+the label names the seed, not the grid).  xor2d-r1 and xor2d-sF 64x64 are
+also timed with a fresh ``edge_sink`` list per step, as ``record_edges``
+runs them (case option ``edges``).  Every measurement runs in a fresh
+interpreter that imports ``gca`` from ``TREE/src`` alone; the trees
+alternate within each round (the first tree leads in odd rounds, the last
+in even ones).  A process repeats the step in 60 batches of about 20 ms of
+CPU time each, with the cyclic collector paused as ``core.run`` pauses it,
+and reports its fastest batch in microseconds per step.
 
 Prints each case's median and minimum over the rounds per tree, and each
 later tree's change against the first; the last line is the same table,
@@ -46,7 +50,12 @@ CASES = [
     ("xor2d-r1", {"n": 8}, 0),
     ("xor2d-r1", {"n": 64}, 0),
     ("xor2d-r1", {"n": 64, "grid_seed": 1}, 0),
+    ("xor2d-r1", {"n": 64, "edges": True}, 0),
+    ("xor2d-tB", {"n": 64}, 0),
+    ("xor2d-sF", {"n": 8}, 0),
     ("xor2d-sF", {"n": 64}, 0),
+    ("xor2d-sF", {"n": 64, "edges": True}, 0),
+    ("xor-plain", {"n": 64}, 0),
     ("bitonic", {"n": 512}, 0),
     ("xor1d-basic", {"n": 31}, 0),
 ]
@@ -58,6 +67,7 @@ sys.path.insert(0, sys.argv[1])
 import gca
 from gca.algorithms import CATALOG
 kwargs = json.loads(sys.argv[3])
+edges = kwargs.pop("edges", False)  # a fresh edge_sink list per step
 if "grid_seed" in kwargs:  # an n x n grid of seeded random 0s and 1s
     rng, n = random.Random(kwargs.pop("grid_seed")), kwargs["n"]
     kwargs["grid"] = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
@@ -72,7 +82,7 @@ reps = 1
 while True:  # about 20 ms per batch
     t0 = clock()
     for _ in range(reps):
-        step(cfg, rs)
+        step(cfg, rs, edge_sink=[] if edges else None)
     if clock() - t0 > 20_000_000:
         break
     reps *= 2
@@ -80,7 +90,7 @@ batches = []
 for _ in range(60):
     t0 = clock()
     for _ in range(reps):
-        step(cfg, rs)
+        step(cfg, rs, edge_sink=[] if edges else None)
     batches.append((clock() - t0) / reps / 1000)
 print(min(batches))
 """
@@ -88,9 +98,10 @@ print(min(batches))
 
 def label(name: str, kwargs: dict, t: int) -> str:
     n = kwargs["n"]
-    size = f"{n}x{n}" if name.startswith("xor2d") else f"n={n}"
+    size = f"{n}x{n}" if name.startswith(("xor2d", "xor-plain")) else f"n={n}"
     grid = f" grid seed {kwargs['grid_seed']}" if "grid_seed" in kwargs else ""
-    return f"{name} {size}{grid}" + (f" t={t}" if t else "")
+    edges = " edges" if kwargs.get("edges") else ""
+    return f"{name} {size}{grid}{edges}" + (f" t={t}" if t else "")
 
 
 def measure(tree: Path, name: str, kwargs: dict, t: int) -> float:
