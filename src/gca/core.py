@@ -23,70 +23,13 @@ absolute.  All wrapping uses mathematical modulus, so results always lie in
 ``[0, n)`` regardless of sign.  :func:`resolve` defines the target of one
 address.
 
-Phase 1 (``_phase1``) evaluates the rules of every variant, for synchronous
-steps and asynchronous sweeps alike.  Its per-cell loop picks an *access plan*
-from the topology's dimensions, the addressing and the arm count: a
-``gather(i, eff)`` that returns the states at cell i's effective addresses,
-and records the access edges when asked to.  The common relative shapes (2-D
-with four arms, 1-D with two) are unrolled, the 1-D one-arm case is inlined in
-the loop, and every other shape resolves its arm vector with the loop form of
-:func:`resolve`.
-
-A synchronous step in ascending order with relative addressing and a
-by-pointer pointer rule (a :class:`ByPointer`, or the plain variant's) reads
-its generation as rotations of the state list where it can.  It first
-resolves the generation's effective addresses, before any read: the stored
-tuples (basic), one call of a :class:`ByPointer` modifier when every cell
-holds one stored tuple object, or one call per cell of any other modifier,
-up to the first cell whose addresses are a new object.  Above 64 cells the
-other modifier then runs for every other cell too, and so does the plain
-variant's pointer function.  Each distinct object among the addresses
-(``is``) is an *address class*.  When every cell's addresses are one object,
-each arm's neighbours are one rotation of the states (:func:`_rotations`): a
-slice pair on a ring, a slice pair per row after a row rotation on a torus.
-Above 64 cells, two to four classes that are tuples of one address per arm
-(a checkerboard's two colours, say, or one tuple per datum) are read as one
-set of rotations per class, and each cell's reads are picked from its own
-class's set (:func:`_columns`).  All reads then come before any rule runs,
-and the rules run over the cells in ascending order, the data rule before
-the pointer rule at every cell.  Access edges come from the same rotations
-of the cell indices, paired with their readers by C-level iterators in the
-per-cell order; with several classes, the reads are then the states at
-those targets.  Otherwise the per-cell loop runs, reusing the addresses
-resolved so far, so no rule is called twice; it also takes over at the
-first cell that does not hold cell 0's stored tuple when the addresses came
-from that tuple.
-
-Failures name the same cell, t, state and reads as the per-cell loop,
-except that a failure of an address rule run ahead of the reads at a later
-cell can be reported ahead of an earlier cell's data-rule failure: at 64
-cells or fewer only while every address so far is one object, above 64
-cells at any cell.  Any other pointer rule, asynchronous sweeps,
-``phase1_order`` and absolute addressing always use the per-cell loop, which
-resolves, reads and runs the rules of one cell before the next.
-
-A whole synchronous generation of more than 64 cells with a by-pointer
-pointer rule (``step_sync`` without ``phase1_order``; the plain variant's
-rule counts) is stored in one pass after its last rule ran, whichever loop
-evaluated its cells, so a failing generation stores nothing.  When the
-pointer rule ran once, so every cell got one tuple object, and the first 16
-new data hold at most two objects, the cells holding the first datum share
-one state, and so do those holding the first other object (:func:`_states`,
-by ``is``); every other cell gets a state of its own.  When it ran more than
-once, each cell's new pointers are asked of it again, a hit in its memo.
-Every other pointer rule, asynchronous sweeps, whose later cells read the
-earlier ones, ``phase1_order`` steps and generations of at most 64 cells
-store cell by cell.
-
-:class:`ByPointer` is the one rule type whose result phase 1 may reuse.  It
-wraps ``make(p)`` for a result (new pointers or effective addresses) that
-depends on the first stored pointer ``p = ctx.cell[1][0]`` alone, never on an
-RNG, the cell, the neighbours or t, and memoises it by ``p``.  So when a cell
-holds the very pointer tuple object of the previous cell that phase 1 called
-the pointer rule for (``is``, not ``==``), phase 1 skips the pointer-rule call
-and reuses that result.  The data rule still runs for every cell first, so a
-failure names the same cell.  A :class:`ByPointer` address modifier is called
-once for a whole generation on the rotation path, and once per cell otherwise.
+Phase 1 (:func:`_phase1`) evaluates the rules of every variant, for
+synchronous steps and asynchronous sweeps alike, in three stages whose
+docstrings state their rules: *resolve* a whole synchronous generation's
+effective addresses ahead of its reads (:func:`_resolve`); *read* each
+cell's neighbours, as rotations of the state list (:func:`_rotated_reads`)
+or cell by cell; and *run* each cell's data rule and pointer rule and store
+its new state.  One loop (:func:`_phase1`) reads cell by cell and runs.
 """
 
 from __future__ import annotations
@@ -355,8 +298,11 @@ class RuleContext:
 
 
 class ByPointer:
-    """Rule ``ctx -> make(p)``, memoised by the first stored pointer ``p``;
-    the module docstring states what ``make`` may depend on."""
+    """Rule ``ctx -> make(p)``, memoised by the first stored pointer
+    ``p = ctx.cell[1][0]``.  The result (new pointers or effective addresses)
+    may depend on ``p`` alone, never on an RNG, the cell, the neighbours or
+    t, so phase 1 may reuse it for every cell that holds the same pointer
+    tuple object; :class:`ByPointer` is the one rule type it does so for."""
 
     __slots__ = ("make", "memo")
 
@@ -412,7 +358,7 @@ class RuleSet:
 
 
 # ---------------------------------------------------------------------------
-# access plan and phase 1
+# phase 1: resolve, read, run
 
 def _targets(topology: Topology, addressing: str) -> Callable[[int, Sequence], list]:
     """``targets(i, eff)``: the cells reached from cell i through the effective
@@ -447,12 +393,12 @@ def _access_plan(
 
     The common relative shapes are unrolled; their unpacking is the arity
     check.  None stands for the 1-D relative one-arm case without edges,
-    which the phase-1 loop inlines.  A generation of a synchronous step read
-    through :func:`_rotations` needs no plan.
+    which :func:`_phase1` inlines.
     """
     relative = addressing == "relative"
-    n = topology.n
-    if relative and topology.is_2d and arms == 4:
+    n = len(states)
+    twod = len(topology.dims) == 2
+    if relative and twod and arms == 4:
         w, h = topology.dims
 
         def gather(i, eff):
@@ -468,7 +414,7 @@ def _access_plan(
             return (states[a], states[b], states[c], states[d])
 
         return gather
-    if relative and not topology.is_2d and arms == 2:
+    if relative and not twod and arms == 2:
         def gather(i, eff):
             a, b = eff
             a = (i + a) % n
@@ -478,7 +424,7 @@ def _access_plan(
             return (states[a], states[b])
 
         return gather
-    if relative and not topology.is_2d and arms == 1 and edge_sink is None:
+    if relative and not twod and arms == 1 and edge_sink is None:
         return None
     targets = _targets(topology, addressing)
 
@@ -556,6 +502,9 @@ def _columns(topology: Topology, classes: list, offs: list, seq: list) -> list:
 
 
 _UNSET = object()
+# _phase1's loop reads cell i itself for a row (i, None); this one endless
+# iterator makes those rows for every call, so none builds its own
+_UNREAD = repeat(None)
 
 
 # Phase 1 stores a whole synchronous generation of over _SHARE_FROM cells in one
@@ -590,13 +539,115 @@ def _no_pointers(ctx: RuleContext) -> tuple:
     return ()
 
 
+def _resolve(ruleset: RuleSet, t: int, states: list, ctx: RuleContext, bulk: bool) -> tuple:
+    """Resolve stage of a whole synchronous generation with relative
+    addressing and a by-pointer pointer rule: ``(eff, effs, hold)``, every
+    cell's effective addresses when they are one object (else ``_UNSET``),
+    and those resolved ahead of the reads for cells 0, 1, ...
+
+    - basic: cell 0's stored tuple ``p0``, or a :class:`ByPointer`
+      modifier's one call for cell 0, when cells 1 and n-1 hold ``p0`` too;
+      ``eff`` then applies to the cells that hold ``hold = p0`` (else None).
+    - any other modifier: one call per cell up to the first cell whose
+      addresses are a new object, then above 64 cells (``bulk``) every cell.
+    - the plain variant's pointer function: above 64 cells, every cell.
+
+    A failure names its cell, with no reads, so a rule run ahead that fails
+    at a later cell is reported before an earlier cell's data rule fails:
+    at 64 cells or fewer only while every address so far is one object,
+    above 64 cells at any cell.
+    """
+    variant = ruleset.variant
+    modifier = ruleset.address_modifier
+    pf = ruleset.pointer_function
+    n = len(states)
+    ctx.i = 0
+    ctx.cell = states[0]
+    p0 = ctx.cell[1]
+    effs: list = []
+    try:
+        if variant == "basic" or type(modifier) is ByPointer:
+            if states[-1][1] is p0 and states[1 % n][1] is p0:
+                return (p0 if variant == "basic" else modifier(ctx)), effs, p0
+            return _UNSET, effs, None
+        if variant == "general":  # up to the first new object
+            e0 = modifier(ctx)
+            effs.append(e0)
+            for i in range(1, n):
+                ctx.i = i
+                ctx.cell = states[i]
+                e = modifier(ctx)
+                effs.append(e)
+                if e is not e0:
+                    break
+            else:
+                return e0, effs, None
+        if bulk:
+            rest = enumerate(states[len(effs):], len(effs))
+            effs += ([pf(ctx.i, ctx.cell) for ctx.i, ctx.cell in rest] if variant == "plain"
+                     else [modifier(ctx) for ctx.i, ctx.cell in rest])
+            if all(map(is_, effs, repeat(effs[0]))):  # C-level scan
+                return effs[0], effs, None
+    except GcaError:
+        raise
+    except Exception as exc:
+        raise RuleEvaluationError(ctx.i, t, exc, ctx.cell) from exc
+    return _UNSET, effs, None
+
+
+def _rotated_reads(
+    topology: Topology, arms: int, t: int, states: list, eff: Any, effs: list, edge_sink: list | None
+) -> Iterable[tuple] | None:
+    """Read stage, as rotations: ``(i, nb)``, cell i's reads, for every cell
+    of a whole synchronous generation in ascending order, read before any
+    rule runs; None when the generation is read cell by cell.
+
+    One address object ``eff`` is one rotation of the states per arm
+    (:func:`_rotations`); a wrong arity, or an address that resolves
+    nowhere, fails at cell 0.  Above 64 cells, addresses ``effs`` of two to
+    four tuples of one address per arm (address classes) are one set of
+    rotations per class, each cell's reads picked from its class's set
+    (:func:`_columns`); a class that does not rotate is read cell by cell,
+    which names the cell.  The edges come from the same rotations of the
+    cell indices, in the per-cell order.
+    """
+    n = len(states)
+    idx = None if edge_sink is None else [*range(n)]
+    if eff is not _UNSET:
+        try:
+            if len(eff) != arms:
+                raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
+            columns = _rotations(topology, eff, states)
+            if idx is not None:
+                targets = _rotations(topology, eff, idx)
+        except Exception as exc:
+            raise RuleEvaluationError(0, t, exc, states[0]) from exc
+    elif n > _SHARE_FROM and len(effs) == n:
+        classes, offs = _address_classes(effs, arms)
+        if classes is None:
+            return None
+        try:
+            if idx is None:
+                columns = _columns(topology, classes, offs, states)
+            else:  # the targets, and the states at them
+                targets = _columns(topology, classes, offs, idx)
+                columns = [itemgetter(*js)(states) for js in targets]
+        except Exception:
+            return None
+    else:
+        return None
+    if idx is not None:
+        readers = [0] * (n * arms)
+        flat = readers[:]
+        for k, column in enumerate(targets):
+            readers[k::arms] = idx
+            flat[k::arms] = column
+        edge_sink.extend(zip(readers, flat))
+    return enumerate(zip(*columns))
+
+
 def _phase1(
-    ruleset: RuleSet,
-    topology: Topology,
-    t: int,
-    states: list,
-    out,
-    order: Iterable[int] | None,
+    ruleset: RuleSet, topology: Topology, t: int, states: list, out, order: Iterable[int] | None,
     edge_sink: list | None = None,
 ) -> None:
     """Evaluate the rules of the cells in ``order`` at generation t, reading
@@ -604,180 +655,97 @@ def _phase1(
 
     A synchronous step writes to a fresh list; an asynchronous sweep passes
     one list as both, so each cell reads the cells updated before it.
-    ``order`` None is a whole synchronous generation in ascending order.
-    With a by-pointer pointer rule it is read as rotations where the module
-    docstring's rules allow: of one address class, or above 64 cells of one
-    to four.  A modifier that is not a :class:`ByPointer` runs ahead of the
-    reads up to its first new object, and above 64 cells for every cell, as
-    does the plain variant's pointer function there; above 64 cells the
-    generation is also stored in one pass after its last rule ran.  Any other pointer rule, and every
-    other order, runs the per-cell order and stores cell by cell.  Any rule
-    failure surfaces as :class:`RuleEvaluationError` naming the cell, t, the
-    cell's state and what it read; ``out`` then holds the cells stored
-    before it, so none after a failure in a generation stored in one pass.
+    ``order`` None is a whole synchronous generation in ascending order:
+    with relative addressing and a by-pointer pointer rule (a
+    :class:`ByPointer`, or the plain variant's), :func:`_resolve` and
+    :func:`_rotated_reads` resolve and read it where they can.
+
+    The loop reads every other cell (every cell of an asynchronous sweep,
+    a ``phase1_order`` step, absolute addressing or a pointer rule that is
+    not by-pointer), each after the cell before it ran and was stored: from
+    the addresses resolved ahead, else from the stored tuple, the pointer
+    function or the address modifier (with ``ctx.neighbors`` unset),
+    through :func:`_access_plan`, which records the edges.  Rotations read
+    for a ``hold`` tuple give way to it at the first cell not holding it.
+
+    Each cell runs the data rule, then the pointer rule.  A cell holding
+    the very tuple object (``is``) that a by-pointer rule was last called
+    for reuses its result.  A whole synchronous generation of more than 64
+    cells with a by-pointer rule is stored in one pass after its last rule
+    ran (:func:`_states`); if that rule ran more than once, each cell's new
+    pointers are asked of it again, a hit in its memo.  Any other generation
+    stores each cell as it runs.  A failure surfaces as
+    :class:`RuleEvaluationError` naming the first cell that fails, t, its
+    state and what it read; ``out`` then holds the cells stored before it,
+    none in a generation stored in one pass.
     """
-    n = topology.n
+    n = len(states)
+    arms = ruleset.arms
     basic = ruleset.variant == "basic"
     plain = ruleset.variant == "plain"
     f = ruleset.data_rule
     g = _no_pointers if plain else ruleset.pointer_rule
     modifier = ruleset.address_modifier
     pf = ruleset.pointer_function
-    arms = ruleset.arms
-    # gp/gr: the pointer tuple object the by-pointer pointer rule was last
-    # called for, and its result; ``_UNSET`` is no cell's tuple.  Plain
-    # cells hold the empty tuple and get it back, so their rule counts as
-    # by-pointer.  A generation stored in one pass (bulk) collects its new
-    # data in ds and counts g's calls, with gb in gp's part.
     by_g = plain or type(g) is ByPointer
-    by_modifier = type(modifier) is ByPointer
-    gp = gb = gr = _UNSET
+    each = not by_g  # g runs at every cell
     bulk = by_g and order is None and n > _SHARE_FROM
     if bulk:
         ds, calls = [], 0
-    each = not by_g  # g runs at every cell, and each cell is stored at once
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
+    effs, cells, hold = (), None, None
+    if order is None:
+        order = range(n)
+        if by_g and ruleset.addressing == "relative":
+            eff, effs, hold = _resolve(ruleset, t, states, ctx, bulk)
+            cells = _rotated_reads(topology, arms, t, states, eff, effs, edge_sink)
+    ahead = len(effs)
+    # gp/gr: the tuple object that g was last called for and its result,
+    # gb in gp's place when the generation is stored in one pass
+    gp = gb = gr = _UNSET
     tnew = tuple.__new__  # skips the namedtuple constructor wrapper
     cs = CellState
-    ahead = 0  # cells 0 .. ahead-1 have their effective addresses in effs
-    i = -1
-    try:
-        if order is None:
-            order = range(n)
-            eff = _UNSET  # every cell's addresses, when they are one object
-            classes = None  # else 2 to 4 objects, and where each cell reads
-            nbs = None  # every cell's reads, when the rotations give them
-            if by_g and ruleset.addressing == "relative":
-                i = 0
-                ctx.cell = states[0]
-                p0 = ctx.cell[1]
-                # with ``hold`` the addresses come from p0, so every cell must
-                # hold p0: cells 0, 1 and n-1 are checked here, and each cell
-                # again as it is evaluated
-                hold = basic or by_modifier
-                if hold:
-                    if states[-1][1] is p0 and states[1 % n][1] is p0:
-                        eff = modifier(ctx) if by_modifier else p0
-                elif not plain or bulk:
-                    effs = []
-                    if not plain:  # any other modifier: per cell, up to a new object
-                        eff = modifier(ctx)
-                        effs.append(eff)
-                        for i in range(1, n):
-                            ctx.i = i
-                            ctx.cell = states[i]
-                            e = modifier(ctx)
-                            effs.append(e)
-                            if e is not eff:
-                                eff = _UNSET
-                                break
-                    if bulk and eff is _UNSET:  # above 64 cells: every cell before any read
-                        rest = enumerate(states[len(effs):], len(effs))
-                        try:
-                            effs += ([pf(ctx.i, ctx.cell) for ctx.i, ctx.cell in rest] if plain
-                                     else [modifier(ctx) for ctx.i, ctx.cell in rest])
-                        except Exception:
-                            i = ctx.i  # the failing cell, for the report below
-                            raise
-                        if plain:  # the per-cell loop, if it runs, reuses them
-                            pf = lambda i, q: effs[i]
-                        if all(map(is_, effs, repeat(effs[0]))):  # C-level scan
-                            eff = effs[0]
-                        else:
-                            classes, offs = _address_classes(effs, arms)
-                    ahead = len(effs)
-            if eff is not _UNSET:
-                i = ctx.i = 0
-                ctx.cell = states[0]
-                if len(eff) != arms:
-                    raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
-                nbs = zip(*_rotations(topology, eff, states))
-                if edge_sink is not None:
-                    idx = [*order]
-                    targets = _rotations(topology, eff, idx)
-            elif classes is not None:
-                try:
-                    if edge_sink is None:
-                        nbs = zip(*_columns(topology, classes, offs, states))
-                    else:  # the targets, and the states at them
-                        idx = [*order]
-                        targets = _columns(topology, classes, offs, idx)
-                        nbs = zip(*[itemgetter(*js)(states) for js in targets])
-                except Exception:
-                    pass  # the per-cell loop reports the cell whose class fails
-            if nbs is not None:
-                if edge_sink is not None:
-                    mark = len(edge_sink)
-                    readers = [0] * (n * arms)
-                    flat = readers[:]
-                    for k, column in enumerate(targets):
-                        readers[k::arms] = idx
-                        flat[k::arms] = column
-                    edge_sink.extend(zip(readers, flat))
-                for i, q, nb in zip(order, states, nbs):
-                    p = q[1]
-                    ctx.i = i
-                    ctx.cell = q
-                    ctx.neighbors = nb
-                    try:
-                        if p is gp:
-                            out[i] = tnew(cs, (f(ctx), gr))
-                        elif p is gb:
-                            ds.append(f(ctx))
-                        elif hold and p is not p0:
-                            break
-                        elif bulk:
-                            ds.append(f(ctx))
-                            gr = g(ctx)
-                            gb = p
-                            calls += 1
-                        else:
-                            d = f(ctx)
-                            gr = g(ctx)
-                            gp = p
-                            out[i] = tnew(cs, (d, gr))
-                    except GcaError:
-                        raise
-                    except Exception as exc:
-                        raise RuleEvaluationError(i, t, exc, q, nb) from exc
-                else:  # every cell read through the rotations
-                    if not bulk:
-                        return
-                    i = n
-                # from cell i, which holds another tuple, the access plan reads
-                order = range(i, n)
-                if edge_sink is not None:
-                    del edge_sink[mark + i * arms :]
-        if i < n:  # not when the rotations read every cell
+    while True:
+        if cells is None:  # every cell in order is read in the loop
+            cells = zip(order, _UNREAD)
             gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
-        for i in order:
+        for i, nb in cells:
             q = states[i]
             p = q[1]  # .pointers without the descriptor hop
             ctx.i = i
             ctx.cell = q
-            if basic:
-                eff = p
-            elif plain:
-                eff = pf(i, q)
-            elif i < ahead:
-                eff = effs[i]
-            else:
-                ctx.neighbors = ()
-                eff = modifier(ctx)
-            if gather is None:
-                (a,) = eff  # unpacking checks the arity
-                ctx.neighbors = (states[(i + a) % n],)
-            else:
-                ctx.neighbors = gather(i, eff)
+            if nb is None:  # resolve and read cell i
+                try:
+                    if basic:
+                        eff = p
+                    elif i < ahead:
+                        eff = effs[i]
+                    elif plain:
+                        eff = pf(i, q)
+                    else:
+                        ctx.neighbors = ()
+                        eff = modifier(ctx)
+                    if gather is None:
+                        (a,) = eff  # unpacking checks the arity
+                        nb = (states[(i + a) % n],)
+                    else:
+                        nb = gather(i, eff)
+                except GcaError:
+                    raise
+                except Exception as exc:
+                    raise RuleEvaluationError(i, t, exc, q) from exc
+            ctx.neighbors = nb
             try:  # free in the loop: a try block costs nothing until it raises
-                if p is gp:  # the by-pointer rule's result for this tuple
+                if p is gp:
                     out[i] = tnew(cs, (f(ctx), gr))
-                elif each:
-                    out[i] = tnew(cs, (f(ctx), g(ctx)))
                 elif p is gb:
                     ds.append(f(ctx))
+                elif each:
+                    out[i] = tnew(cs, (f(ctx), g(ctx)))
+                elif hold is not None and p is not hold:
+                    break
                 elif bulk:
                     ds.append(f(ctx))
                     gr = g(ctx)
@@ -791,12 +759,14 @@ def _phase1(
             except GcaError:
                 raise
             except Exception as exc:
-                raise RuleEvaluationError(i, t, exc, q, ctx.neighbors) from exc
-    except GcaError:
-        raise
-    except Exception as exc:  # before the reads: addresses, arity, order
-        state = ctx.cell if ctx.i == i else None
-        raise RuleEvaluationError(i, t, exc, state) from exc
+                raise RuleEvaluationError(i, t, exc, q, nb) from exc
+        else:
+            break
+        # cell i does not hold the tuple that the rotations were read for:
+        # drop its edges and those after it, and read on from it in the loop
+        if edge_sink is not None:
+            del edge_sink[len(edge_sink) - (n - i) * arms :]
+        order, cells, hold = range(i, n), None, None
     if bulk and calls > 1:  # each cell's result again: a hit in g's memo
         out[:] = _states(zip(ds, [g(ctx) for ctx.cell in states]))
     elif bulk:
@@ -821,7 +791,7 @@ def step_sync(
     committed result is order independent; anything else is rejected).  A
     rule failure commits nothing.
     """
-    n = cfg.n
+    n = len(cfg.states)
     new_states: list = [None] * n
     if phase1_order is not None and sorted(phase1_order) != list(range(n)):
         raise PreconditionError(f"phase1_order is not a permutation of 0..{n - 1}")

@@ -196,18 +196,25 @@ def sharing_cell_0s_tuple(cfg, but=None):
     return shared
 
 
-@given(automata())
+@given(automata(large=True))
 def test_step_sync_matches_reference(case):
     # as drawn, with every cell sharing one tuple, and with one cell in the
-    # middle holding another (phase 1 switches paths at that cell)
+    # middle holding another; a basic or general rule set also runs with a
+    # ByPointer pointer rule, under which phase 1 reads the shared tuple's
+    # rotations up to that cell, then reads on cell by cell and drops the
+    # rotations' later edges (above 64 cells, storing in one pass)
     drawn, rs = case
-    for cfg in (drawn, sharing_cell_0s_tuple(drawn), sharing_cell_0s_tuple(drawn, drawn.n // 2)):
-        edges = []
-        nxt = step_sync(cfg, rs, edge_sink=edges)
-        assert nxt.states == reference_sync(cfg, rs)
-        assert nxt.time == cfg.time + 1
-        assert edges == reference_edges(cfg, rs, range(cfg.n))
-        assert step_sync(cfg, rs).states == nxt.states
+    rule_sets = [rs]
+    if rs.variant != "plain":
+        rule_sets.append(replace(rs, pointer_rule=ByPointer(by_pointer_make(rs.arms, 1))))
+    for rs in rule_sets:
+        for cfg in (drawn, sharing_cell_0s_tuple(drawn), sharing_cell_0s_tuple(drawn, drawn.n // 2)):
+            edges = []
+            nxt = step_sync(cfg, rs, edge_sink=edges)
+            assert nxt.states == reference_sync(cfg, rs)
+            assert nxt.time == cfg.time + 1
+            assert edges == reference_edges(cfg, rs, range(cfg.n))
+            assert step_sync(cfg, rs).states == nxt.states
 
 
 @given(automata(large=True), st.randoms(use_true_random=False))

@@ -1,6 +1,6 @@
 """What one synchronous step costs, compared between source trees.
 
-    python3 tools/step_cost.py TREE [TREE ...] [--rounds N]
+    python3 tools/step_cost.py TREE [TREE ...] [--rounds N] [--case SUBSTRING ...]
 
 Times one ``step_sync`` of the catalog's reduce-sum at n = 8, 32, 64 and
 1024, of xor2d-r1 on 8x8 and 64x64 tori, of xor2d-tB on a 64x64 torus (one
@@ -22,6 +22,10 @@ alternate within each round (the first tree leads in odd rounds, the last
 in even ones).  A process repeats the step in 60 batches of about 20 ms of
 CPU time each, with the cyclic collector paused as ``core.run`` pauses it,
 and reports its fastest batch in microseconds per step.
+
+``--case SUBSTRING`` (repeatable) times only the cases whose label holds one
+of the substrings, as printed (``--case "fire-wave n=16 t=1"``); without it,
+every case runs.
 
 Prints each case's median and minimum over the rounds per tree, and each
 later tree's change against the first; the last line is the same table,
@@ -116,20 +120,25 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", type=Path)
     ap.add_argument("--rounds", type=int, default=5)
+    ap.add_argument("--case", action="append", metavar="SUBSTRING",
+                    help="time only the cases whose label holds SUBSTRING (repeatable)")
     args = ap.parse_args(argv)
+    cases = [c for c in CASES if not args.case or any(s in label(*c) for s in args.case)]
+    if not cases:
+        ap.error(f"no case label holds {' or '.join(map(repr, args.case))}")
     trees = [t.resolve() for t in args.trees]
     for tree in trees:
         if not (tree / "src" / "gca").is_dir():
             ap.error(f"{tree} has no src/gca")
-    samples = {(label(*c), t): [] for c in CASES for t in range(len(trees))}
+    samples = {(label(*c), t): [] for c in cases for t in range(len(trees))}
     for r in range(args.rounds):
         order = range(len(trees)) if r % 2 == 0 else range(len(trees) - 1, -1, -1)
-        for case in CASES:
+        for case in cases:
             for t in order:
                 samples[label(*case), t].append(measure(trees[t], *case))
     table = {}
     print(f"us per step_sync over {args.rounds} fresh processes per tree: median, min")
-    for case in CASES:
+    for case in cases:
         key = label(*case)
         row, cells = {}, []
         for stat in (statistics.median, min):
