@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, repeat
+from math import prod
 from operator import add, is_, is_not, itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -152,10 +153,12 @@ class Topology:
     """
 
     dims: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)  # the cell count
 
     def __post_init__(self) -> None:
         if len(self.dims) not in (1, 2) or any(d < 1 for d in self.dims):
             raise PreconditionError(f"bad topology dims {self.dims}")
+        object.__setattr__(self, "n", prod(self.dims))
 
     @staticmethod
     def ring(n: int) -> "Topology":
@@ -164,13 +167,6 @@ class Topology:
     @staticmethod
     def torus(w: int, h: int) -> "Topology":
         return Topology((w, h))
-
-    @property
-    def n(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
 
     @property
     def is_2d(self) -> bool:
@@ -299,10 +295,12 @@ class RuleContext:
 
 class ByPointer:
     """Rule ``ctx -> make(p)``, memoised by the first stored pointer
-    ``p = ctx.cell[1][0]``.  The result (new pointers or effective addresses)
-    may depend on ``p`` alone, never on an RNG, the cell, the neighbours or
-    t, so phase 1 may reuse it for every cell that holds the same pointer
-    tuple object; :class:`ByPointer` is the one rule type it does so for."""
+    ``p = ctx.cell[1][0]``: an int by its value, any other pointer by its
+    type and value, so ``1``, ``True`` and ``1.0`` stay apart.  The result
+    (new pointers or effective addresses) may depend on ``p`` alone, never on
+    an RNG, the cell, the neighbours or t, so phase 1 may reuse it for every
+    cell that holds the same pointer tuple object; :class:`ByPointer` is the
+    one rule type it does so for."""
 
     __slots__ = ("make", "memo")
 
@@ -312,9 +310,10 @@ class ByPointer:
 
     def __call__(self, ctx: RuleContext) -> tuple:
         p = ctx.cell[1][0]
-        r = self.memo.get(p)
+        key = p if type(p) is int else (type(p), p)
+        r = self.memo.get(key)
         if r is None:
-            r = self.memo[p] = self.make(p)
+            r = self.memo[key] = self.make(p)
         return r
 
 
@@ -388,8 +387,8 @@ def _access_plan(
 ) -> Callable[[int, Sequence], tuple] | None:
     """``gather(i, eff)``: the states of ``states`` at cell i's effective
     addresses ``eff``, in arm order; with an ``edge_sink`` it also appends the
-    ``(i, target)`` access edges.  It raises ValueError unless ``eff`` holds
-    one address per arm.
+    ``(i, target)`` access edges once the read succeeded.  It raises
+    ValueError unless ``eff`` holds one address per arm.
 
     The common relative shapes are unrolled; their unpacking is the arity
     check.  None stands for the 1-D relative one-arm case without edges,
@@ -409,9 +408,10 @@ def _access_plan(
             b = ((y + by) % h) * w + (x + bx) % w
             c = ((y + cy) % h) * w + (x + cx) % w
             d = ((y + dy) % h) * w + (x + dx) % w
+            nb = (states[a], states[b], states[c], states[d])
             if edge_sink is not None:
                 edge_sink.extend(((i, a), (i, b), (i, c), (i, d)))
-            return (states[a], states[b], states[c], states[d])
+            return nb
 
         return gather
     if relative and not twod and arms == 2:
@@ -419,9 +419,10 @@ def _access_plan(
             a, b = eff
             a = (i + a) % n
             b = (i + b) % n
+            nb = (states[a], states[b])
             if edge_sink is not None:
                 edge_sink.extend(((i, a), (i, b)))
-            return (states[a], states[b])
+            return nb
 
         return gather
     if relative and not twod and arms == 1 and edge_sink is None:
@@ -432,9 +433,10 @@ def _access_plan(
         if len(eff) != arms:
             raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
         found = targets(i, eff)
+        nb = tuple([states[j] for j in found])
         if edge_sink is not None:
             edge_sink.extend([(i, j) for j in found])
-        return tuple([states[j] for j in found])
+        return nb
 
     return gather
 
@@ -473,30 +475,30 @@ def _rotations(topology: Topology, eff: Sequence, seq: list) -> list[list]:
 _CLASSES = 4
 
 
-def _address_classes(effs: list, arms: int) -> tuple[list | None, list | None]:
-    """``(classes, offs)`` of a generation whose cells have the effective
+def _address_classes(effs: list) -> tuple[list | None, Callable | None]:
+    """``(classes, pick)`` of a generation whose cells have the effective
     addresses ``effs``, two objects or more: its distinct objects (``is``) in
-    order of first use, and each cell's position in the concatenation of one
-    list of n items per class (``k * n + i`` for cell i of class k).  Both
-    are None unless there are at most _CLASSES, each a tuple of ``arms``
-    addresses."""
+    order of first use, and an itemgetter that picks each cell's item from
+    the concatenation of one list of n items per class (``k * n + i`` for
+    cell i of class k).  Both are None for more than _CLASSES objects."""
     ids = [*map(id, effs)]
     first = dict.fromkeys(ids)
     if len(first) > _CLASSES:
         return None, None
-    classes = [effs[ids.index(k)] for k in first]
-    if any(type(c) is not tuple or len(c) != arms for c in classes):
-        return None, None
     n = len(effs)
     base = dict(zip(first, range(0, n * len(first), n)))
-    return classes, [*map(add, map(base.__getitem__, ids), range(n))]
+    # over 64 offsets, so the pick returns a tuple
+    pick = itemgetter(*map(add, map(base.__getitem__, ids), range(n)))
+    return [effs[ids.index(k)] for k in first], pick
 
 
-def _columns(topology: Topology, classes: list, offs: list, seq: list) -> list:
-    """Per arm, the tuple whose i-th item is the item of ``seq`` at cell i's
-    target, picked by ``offs`` (see :func:`_address_classes`) from the
-    :func:`_rotations` of each address class."""
-    pick = itemgetter(*offs)  # over 64 offsets, so it returns a tuple
+def _columns(topology: Topology, classes: list, pick: Callable | None, seq: list) -> list:
+    """Per arm, the sequence whose i-th item is the item of ``seq`` at cell
+    i's target: the :func:`_rotations` of one address class (``pick`` None),
+    or picked by ``pick`` (see :func:`_address_classes`) from those of each
+    class."""
+    if pick is None:
+        return _rotations(topology, classes[0], seq)
     vectors = zip(*[_rotations(topology, c, seq) for c in classes])
     return [pick([*chain.from_iterable(arm)]) for arm in vectors]
 
@@ -539,7 +541,7 @@ def _no_pointers(ctx: RuleContext) -> tuple:
     return ()
 
 
-def _resolve(ruleset: RuleSet, t: int, states: list, ctx: RuleContext, bulk: bool) -> tuple:
+def _resolve(ruleset: RuleSet, states: list, ctx: RuleContext, bulk: bool) -> tuple:
     """Resolve stage of a whole synchronous generation with relative
     addressing and a by-pointer pointer rule: ``(eff, effs, hold)``, every
     cell's effective addresses when they are one object (else ``_UNSET``),
@@ -552,10 +554,7 @@ def _resolve(ruleset: RuleSet, t: int, states: list, ctx: RuleContext, bulk: boo
       addresses are a new object, then above 64 cells (``bulk``) every cell.
     - the plain variant's pointer function: above 64 cells, every cell.
 
-    A failure names its cell, with no reads, so a rule run ahead that fails
-    at a later cell is reported before an earlier cell's data rule fails:
-    at 64 cells or fewer only while every address so far is one object,
-    above 64 cells at any cell.
+    Each call runs with ``ctx.i`` and ``ctx.cell`` set to its cell.
     """
     variant = ruleset.variant
     modifier = ruleset.address_modifier
@@ -565,76 +564,69 @@ def _resolve(ruleset: RuleSet, t: int, states: list, ctx: RuleContext, bulk: boo
     ctx.cell = states[0]
     p0 = ctx.cell[1]
     effs: list = []
-    try:
-        if variant == "basic" or type(modifier) is ByPointer:
-            if states[-1][1] is p0 and states[1 % n][1] is p0:
-                return (p0 if variant == "basic" else modifier(ctx)), effs, p0
-            return _UNSET, effs, None
-        if variant == "general":  # up to the first new object
-            e0 = modifier(ctx)
-            effs.append(e0)
-            for i in range(1, n):
-                ctx.i = i
-                ctx.cell = states[i]
-                e = modifier(ctx)
-                effs.append(e)
-                if e is not e0:
-                    break
-            else:
-                return e0, effs, None
-        if bulk:
-            rest = enumerate(states[len(effs):], len(effs))
-            effs += ([pf(ctx.i, ctx.cell) for ctx.i, ctx.cell in rest] if variant == "plain"
-                     else [modifier(ctx) for ctx.i, ctx.cell in rest])
-            if all(map(is_, effs, repeat(effs[0]))):  # C-level scan
-                return effs[0], effs, None
-    except GcaError:
-        raise
-    except Exception as exc:
-        raise RuleEvaluationError(ctx.i, t, exc, ctx.cell) from exc
+    if variant == "basic" or type(modifier) is ByPointer:
+        if states[-1][1] is p0 and states[1 % n][1] is p0:
+            return (p0 if variant == "basic" else modifier(ctx)), effs, p0
+        return _UNSET, effs, None
+    if variant == "general":  # up to the first new object
+        e0 = modifier(ctx)
+        effs.append(e0)
+        for i in range(1, n):
+            ctx.i = i
+            ctx.cell = states[i]
+            e = modifier(ctx)
+            effs.append(e)
+            if e is not e0:
+                break
+        else:
+            return e0, effs, None
+    if bulk:
+        rest = enumerate(states[len(effs):], len(effs))
+        effs += ([pf(ctx.i, ctx.cell) for ctx.i, ctx.cell in rest] if variant == "plain"
+                 else [modifier(ctx) for ctx.i, ctx.cell in rest])
+        if all(map(is_, effs, repeat(effs[0]))):  # C-level scan
+            return effs[0], effs, None
     return _UNSET, effs, None
 
 
 def _rotated_reads(
-    topology: Topology, arms: int, t: int, states: list, eff: Any, effs: list, edge_sink: list | None
+    topology: Topology, arms: int, states: list, eff: Any, effs: list, edge_sink: list | None
 ) -> Iterable[tuple] | None:
     """Read stage, as rotations: ``(i, nb)``, cell i's reads, for every cell
     of a whole synchronous generation in ascending order, read before any
     rule runs; None when the generation is read cell by cell.
 
-    One address object ``eff`` is one rotation of the states per arm
-    (:func:`_rotations`); a wrong arity, or an address that resolves
-    nowhere, fails at cell 0.  Above 64 cells, addresses ``effs`` of two to
-    four tuples of one address per arm (address classes) are one set of
-    rotations per class, each cell's reads picked from its class's set
-    (:func:`_columns`); a class that does not rotate is read cell by cell,
-    which names the cell.  The edges come from the same rotations of the
-    cell indices, in the per-cell order.
+    The cells' addresses are read as address classes: one object ``eff`` at
+    any size, or above 64 cells two to four objects ``effs``
+    (:func:`_address_classes`).  A class of one address per arm is one
+    rotation of the states per arm (:func:`_rotations`), and with several
+    classes each cell's reads are picked from its class's set
+    (:func:`_columns`).  Any failure here, a wrong arity or an address that
+    does not rotate, returns None, and the per-cell loop reads the
+    generation and names the failing cell.  The edges come from the same
+    rotations of the cell indices, in the per-cell order.
     """
     n = len(states)
-    idx = None if edge_sink is None else [*range(n)]
     if eff is not _UNSET:
-        try:
-            if len(eff) != arms:
-                raise ValueError(f"{len(eff)} effective addresses for {arms} arm(s)")
-            columns = _rotations(topology, eff, states)
-            if idx is not None:
-                targets = _rotations(topology, eff, idx)
-        except Exception as exc:
-            raise RuleEvaluationError(0, t, exc, states[0]) from exc
+        classes, pick = (eff,), None
     elif n > _SHARE_FROM and len(effs) == n:
-        classes, offs = _address_classes(effs, arms)
+        classes, pick = _address_classes(effs)
         if classes is None:
             return None
-        try:
-            if idx is None:
-                columns = _columns(topology, classes, offs, states)
-            else:  # the targets, and the states at them
-                targets = _columns(topology, classes, offs, idx)
-                columns = [itemgetter(*js)(states) for js in targets]
-        except Exception:
-            return None
     else:
+        return None
+    idx = None if edge_sink is None else [*range(n)]
+    try:
+        for c in classes:
+            if len(c) != arms:
+                return None
+        if idx is not None:
+            targets = _columns(topology, classes, pick, idx)
+        if pick is None or idx is None:
+            columns = _columns(topology, classes, pick, states)
+        else:  # cheaper than rotating every class's states again
+            columns = [itemgetter(*js)(states) for js in targets]
+    except Exception:
         return None
     if idx is not None:
         readers = [0] * (n * arms)
@@ -674,10 +666,16 @@ def _phase1(
     cells with a by-pointer rule is stored in one pass after its last rule
     ran (:func:`_states`); if that rule ran more than once, each cell's new
     pointers are asked of it again, a hit in its memo.  Any other generation
-    stores each cell as it runs.  A failure surfaces as
-    :class:`RuleEvaluationError` naming the first cell that fails, t, its
-    state and what it read; ``out`` then holds the cells stored before it,
-    none in a generation stored in one pass.
+    stores each cell as it runs.
+
+    Failures: the first rule or read to raise, in the order the stages run
+    them, surfaces as :class:`RuleEvaluationError` naming its cell, t, the
+    cell's state and the cell's reads, ``()`` when it failed before them.
+    So a rule that :func:`_resolve` runs ahead and that fails at a later
+    cell is reported before an earlier cell's data rule fails: at 64 cells
+    or fewer only while every address so far is one object, above 64 cells
+    at any cell.  ``out`` then holds the cells stored before it, none in a
+    generation stored in one pass.
     """
     n = len(states)
     arms = ruleset.arms
@@ -695,29 +693,30 @@ def _phase1(
     ctx = RuleContext()
     ctx.t = t
     ctx.params = ruleset.params
-    effs, cells, hold = (), None, None
-    if order is None:
-        order = range(n)
-        if by_g and ruleset.addressing == "relative":
-            eff, effs, hold = _resolve(ruleset, t, states, ctx, bulk)
-            cells = _rotated_reads(topology, arms, t, states, eff, effs, edge_sink)
-    ahead = len(effs)
-    # gp/gr: the tuple object that g was last called for and its result,
-    # gb in gp's place when the generation is stored in one pass
-    gp = gb = gr = _UNSET
-    tnew = tuple.__new__  # skips the namedtuple constructor wrapper
-    cs = CellState
-    while True:
-        if cells is None:  # every cell in order is read in the loop
-            cells = zip(order, _UNREAD)
-            gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
-        for i, nb in cells:
-            q = states[i]
-            p = q[1]  # .pointers without the descriptor hop
-            ctx.i = i
-            ctx.cell = q
-            if nb is None:  # resolve and read cell i
-                try:
+    effs, cells, nb = (), None, None
+    # the one failure boundary: ctx.i and ctx.cell name the cell at work
+    try:
+        if order is None:
+            order = range(n)
+            if by_g and ruleset.addressing == "relative":
+                eff, effs, hold = _resolve(ruleset, states, ctx, bulk)
+                cells = _rotated_reads(topology, arms, states, eff, effs, edge_sink)
+        ahead = len(effs)
+        # gp/gr: the tuple object that g was last called for and its result,
+        # gb in gp's place when the generation is stored in one pass
+        gp = gb = gr = _UNSET
+        tnew = tuple.__new__  # skips the namedtuple constructor wrapper
+        cs = CellState
+        while True:
+            if cells is None:  # every cell in order is read in the loop
+                cells, hold = zip(order, _UNREAD), None
+                gather = _access_plan(topology, ruleset.addressing, arms, states, edge_sink)
+            for i, nb in cells:
+                q = states[i]
+                p = q[1]  # .pointers without the descriptor hop
+                ctx.i = i
+                ctx.cell = q
+                if nb is None:  # resolve and read cell i
                     if basic:
                         eff = p
                     elif i < ahead:
@@ -732,12 +731,7 @@ def _phase1(
                         nb = (states[(i + a) % n],)
                     else:
                         nb = gather(i, eff)
-                except GcaError:
-                    raise
-                except Exception as exc:
-                    raise RuleEvaluationError(i, t, exc, q) from exc
-            ctx.neighbors = nb
-            try:  # free in the loop: a try block costs nothing until it raises
+                ctx.neighbors = nb
                 if p is gp:
                     out[i] = tnew(cs, (f(ctx), gr))
                 elif p is gb:
@@ -756,17 +750,17 @@ def _phase1(
                     gr = g(ctx)
                     gp = p
                     out[i] = tnew(cs, (d, gr))
-            except GcaError:
-                raise
-            except Exception as exc:
-                raise RuleEvaluationError(i, t, exc, q, nb) from exc
-        else:
-            break
-        # cell i does not hold the tuple that the rotations were read for:
-        # drop its edges and those after it, and read on from it in the loop
-        if edge_sink is not None:
-            del edge_sink[len(edge_sink) - (n - i) * arms :]
-        order, cells, hold = range(i, n), None, None
+            else:
+                break
+            # cell i does not hold the tuple that the rotations were read for:
+            # drop its edges and those after it, and read on from it in the loop
+            if edge_sink is not None:
+                del edge_sink[len(edge_sink) - (n - i) * arms :]
+            order, cells = range(i, n), None
+    except GcaError:
+        raise
+    except Exception as exc:
+        raise RuleEvaluationError(ctx.i, t, exc, ctx.cell, nb or ()) from exc
     if bulk and calls > 1:  # each cell's result again: a hit in g's memo
         out[:] = _states(zip(ds, [g(ctx) for ctx.cell in states]))
     elif bulk:
@@ -799,6 +793,17 @@ def step_sync(
     return Configuration(new_states, cfg.topology, cfg.time + 1)
 
 
+def _check_sweep(order: str, seed: Any) -> None:
+    """Reject an unknown sweep order, a random order without a seed and a
+    seed for any other order, which reads none."""
+    if order not in ("ascending", "descending", "random"):
+        raise PreconditionError(f"unknown async order {order!r}")
+    if order == "random" and seed is None:
+        raise PreconditionError("async random order requires an explicit seed")
+    if order != "random" and seed is not None:
+        raise PreconditionError(f"a seed orders only the random sweep, not {order!r}")
+
+
 def step_async(
     cfg: Configuration,
     ruleset: RuleSet,
@@ -814,21 +819,16 @@ def step_async(
     from, so that successive sweeps continue one stream.  The other orders
     read no seed and reject one.
     """
+    _check_sweep(order, seed)
     n = cfg.n
     if order == "ascending":
         sequence: Iterable[int] = range(n)
     elif order == "descending":
         sequence = range(n - 1, -1, -1)
-    elif order == "random":
-        if seed is None:
-            raise PreconditionError("async random order requires an explicit seed")
+    else:
         rng = seed if isinstance(seed, _random.Random) else _random.Random(seed)
         sequence = list(range(n))
         rng.shuffle(sequence)
-    else:
-        raise PreconditionError(f"unknown async order {order!r}")
-    if seed is not None and order != "random":
-        raise PreconditionError(f"a seed orders only the random sweep, not {order!r}")
     work = cfg.copy()
     _phase1(ruleset, cfg.topology, cfg.time, work.states, work.states, sequence)
     work.time = cfg.time + 1
@@ -939,8 +939,7 @@ def run(
         raise PreconditionError("access-edge recording is defined for sync mode only")
     if mode == "sync" and order != "ascending":
         raise PreconditionError(f"sweep order {order!r} is defined for async mode only")
-    if seed is not None and order != "random":
-        raise PreconditionError(f"a seed orders only the random sweep, not {order!r}")
+    _check_sweep(order, seed)  # sync mode's one order reads no seed either
 
     schedule: dict = {}
     for time, fn in events:
@@ -949,7 +948,7 @@ def run(
     if schedule:
         current = cfg.copy()
         _apply_events(current, schedule)
-    if order == "random" and seed is not None:
+    if seed is not None:
         seed = _random.Random(seed)
     trace = Trace() if (record_states or record_edges) else None
     if trace is not None and record_states:

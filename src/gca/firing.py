@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .algorithms import CATALOG, AlgorithmSpec, _need_trace, _pow2_ring, _spec
 from .core import (
+    ByPointer,
     CellState,
     Configuration,
     PreconditionError,
@@ -343,8 +344,7 @@ def firing_jump_v2(
     N = next_power_of_two(n)
     logN = N.bit_length() - 1
 
-    def pointer_rule(ctx):
-        return (jump_v2_next_p(ctx.cell.pointers[0], n),)
+    pointer_rule = ByPointer(lambda p: (jump_v2_next_p(p, n),))
 
     def data_rule(ctx):
         q = ctx.cell

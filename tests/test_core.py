@@ -449,6 +449,15 @@ def test_step_async_unknown_order():
         step_async(cfg, max_ruleset(), order="sideways")
 
 
+@pytest.mark.parametrize("order, match", [("sideways", "unknown async order"),
+                                          ("random", "requires an explicit seed")])
+def test_a_run_checks_its_sweep_before_any_step(order, match):
+    cfg = make_configuration([1, 0], (1,), Topology.ring(2))
+    for steps in (0, 1):
+        with pytest.raises(PreconditionError, match=match):
+            run(cfg, max_ruleset(), Steps(steps), mode="async", order=order)
+
+
 # ---------------------------------------------------------------------------
 # run loop
 

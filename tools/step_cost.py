@@ -8,20 +8,22 @@ address object from a modifier that is not a ``ByPointer``), of xor2d-sF on
 8x8 and 64x64 tori and xor-plain on a 64x64 torus (two address objects per
 generation: read cell by cell at 64 cells, as two sets of rotations above),
 of bitonic at n = 512 and xor1d-basic at n = 31 (pointer rules that are not
-by-pointer: cell by cell, each cell stored as it is evaluated) and of
-fire-wave at n = 16, each from the entry's generation 0; fire-wave also from
-its generation 1, which phase 1 reads cell by cell, as it reads criterion
-6's generations.  Every torus entry starts from the cross grid, whose first
-16 cells are 0, so xor2d-r1 64x64 also starts from a seeded random grid of
-0s and 1s, as the bench's torus generations do (case option ``grid_seed``;
-the label names the seed, not the grid).  xor2d-r1 and xor2d-sF 64x64 are
-also timed with a fresh ``edge_sink`` list per step, as ``record_edges``
-runs them (case option ``edges``).  Every measurement runs in a fresh
-interpreter that imports ``gca`` from ``TREE/src`` alone; the trees
-alternate within each round (the first tree leads in odd rounds, the last
-in even ones).  A process repeats the step in 60 batches of about 20 ms of
-CPU time each, with the cyclic collector paused as ``core.run`` pauses it,
-and reports its fastest batch in microseconds per step.
+by-pointer: cell by cell, each cell stored as it is evaluated), of
+fire-jump2 at n = 16 (a ``ByPointer`` pointer rule on one shared tuple:
+rotations) and of fire-wave at n = 16, each from the entry's generation 0;
+fire-wave also from its generation 1, which phase 1 reads cell by cell, as
+it reads criterion 6's generations.  Every torus entry starts from the
+cross grid, whose first 16 cells are 0, so xor2d-r1 64x64 also starts from
+a seeded random grid of 0s and 1s, as the bench's torus generations do
+(case option ``grid_seed``; the label names the seed, not the grid).
+xor2d-r1 and xor2d-sF 64x64 are also timed with a fresh ``edge_sink`` list
+per step, as ``record_edges`` runs them (case option ``edges``).  Every
+measurement runs in a fresh interpreter that imports ``gca`` from
+``TREE/src`` alone; the trees alternate within each round (the first tree
+leads in odd rounds, the last in even ones).  A process repeats the step
+in 60 batches of about 20 ms of CPU time each, with the cyclic collector
+paused as ``core.run`` pauses it, and reports its fastest batch in
+microseconds per step.
 
 ``--case SUBSTRING`` (repeatable) times only the cases whose label holds one
 of the substrings, as printed (``--case "fire-wave n=16 t=1"``); without it,
@@ -49,6 +51,7 @@ CASES = [
     ("reduce-sum", {"n": 32}, 0),
     ("reduce-sum", {"n": 64}, 0),
     ("reduce-sum", {"n": 1024}, 0),
+    ("fire-jump2", {"n": 16}, 0),
     ("fire-wave", {"n": 16}, 0),
     ("fire-wave", {"n": 16}, 1),
     ("xor2d-r1", {"n": 8}, 0),
